@@ -18,9 +18,8 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import CsvSchema, load_csv, normalized_differences
 from .evaluation import (
@@ -29,6 +28,7 @@ from .evaluation import (
     cross_validate,
     fit_linear_probability,
 )
+from .outcome_models import fit_ols_per_arm, predict_matrix
 from .policytree import LearnConfig, TreePolicy, constant_policy, evaluate_policy, impute_scores, learn_policy
 from .simulation import (
     METHODS,
@@ -359,7 +359,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_manifest(out, "evaluate", parameters, inputs={"data": path})
     tree = _resolve_policy(args.policy, data.feature_names)
     assignments = evaluate_policy(tree, data.x)
-    value = aipw_value_estimate(data, assignments, e_hat, _quadratic_mu(data))
+    mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
+    value = aipw_value_estimate(data, assignments, e_hat, mu_hat)
     payload = {"policy": args.policy, "value": value, "n_treated_by_policy": int(assignments.sum())}
     (out / "evaluation.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -367,17 +368,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_checksums(out, ["evaluation.json"])
     print(f"estimated value under policy {args.policy!r}: {value:.1f}")
     return EXIT_OK
-
-
-def _quadratic_mu(data):
-    from .outcome_models import fit_ols_per_arm, predict_matrix
-
-    model = fit_ols_per_arm(data, "quadratic")
-
-    def mu(points: np.ndarray, arm: int) -> np.ndarray:
-        return predict_matrix(model, points, arm)
-
-    return mu
 
 
 def cmd_balance(args: argparse.Namespace) -> int:

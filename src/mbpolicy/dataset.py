@@ -130,9 +130,6 @@ class BalanceReport:
     n_control: int
     n_treated: int
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.feature_names, self.normalized_diffs))
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

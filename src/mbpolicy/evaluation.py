@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .advantage import _mu_matrix
 from .dataset import ObservationalDataset
-from .outcome_models import fit_ols_per_arm, predict_matrix
+from .outcome_models import _standardize, fit_ols_per_arm, predict_matrix
 from .policytree import TreePolicy, evaluate_policy
 from .seeding import derive_seed, philox_rng
 
@@ -56,10 +57,7 @@ def fit_linear_probability(
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    centers = data.x.mean(axis=0)
-    scales = data.x.std(axis=0)
-    scales = np.where(scales > 0, scales, 1.0)
-    design = np.hstack([np.ones((data.n, 1)), (data.x - centers) / scales])
+    design = np.hstack([np.ones((data.n, 1)), _standardize(data.x)[0]])
     penalty = ridge * np.eye(design.shape[1])
     penalty[0, 0] = 0.0
     coef = np.linalg.solve(design.T @ design + data.n * penalty, design.T @ data.w)
@@ -179,11 +177,7 @@ def cross_validate(
         data, arm_proportion_propensity(data) if e_hat is None else e_hat
     )
     if mu_hat is None:
-        model = fit_ols_per_arm(data, "quadratic")
-
-        def mu_hat(pts: np.ndarray, arm: int) -> np.ndarray:
-            return predict_matrix(model, pts, arm)
-
+        mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
     values = np.empty(repeats)
     failures: list[str] = []
     for rep in range(repeats):

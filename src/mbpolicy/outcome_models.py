@@ -53,46 +53,32 @@ def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
     raise ValueError(f"unknown expansion {expansion!r}")
 
 
-def expanded_dim(p: int, expansion: str) -> int:
-    if expansion == "linear":
-        return p
-    if expansion == "quadratic":
-        return 2 * p + p * (p - 1) // 2
-    raise ValueError(f"unknown expansion {expansion!r}")
-
-
 @dataclass(frozen=True)
 class OutcomeModel:
     """Per-arm regression fits on a shared feature expansion.
 
     Coefficient vectors carry the intercept first and live on the original
-    (unstandardized) feature scale; the per-arm standardization stats record
-    how the lasso design was scaled (zeros/ones for OLS). ``lambda0`` and
-    ``lambda1`` are the selected penalties, 0 for OLS.
+    (unstandardized) feature scale. ``lambda0`` and ``lambda1`` are the
+    selected penalties, 0 for OLS.
     """
 
     expansion: str
     coef0: np.ndarray
     coef1: np.ndarray
-    centers0: np.ndarray
-    scales0: np.ndarray
-    centers1: np.ndarray
-    scales1: np.ndarray
     lambda0: float = 0.0
     lambda1: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("coef0", "coef1", "centers0", "scales0", "centers1", "scales1"):
+        for name in ("coef0", "coef1"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        k = self.centers0.shape[0]
-        if self.coef0.shape != (k + 1,) or self.coef1.shape != (k + 1,):
-            raise ValueError("coefficient length must be expanded-feature count + 1")
+        if self.coef0.ndim != 1 or self.coef0.shape != self.coef1.shape:
+            raise ValueError("coef0 and coef1 must be vectors of equal length")
 
     @property
     def n_expanded(self) -> int:
-        return self.centers0.shape[0]
+        return self.coef0.shape[0] - 1
 
     def to_text(self) -> str:
         """Self-describing serialization; round-trips exactly via from_text."""
@@ -100,10 +86,6 @@ class OutcomeModel:
             "expansion": self.expansion,
             "coef0": self.coef0.tolist(),
             "coef1": self.coef1.tolist(),
-            "centers0": self.centers0.tolist(),
-            "scales0": self.scales0.tolist(),
-            "centers1": self.centers1.tolist(),
-            "scales1": self.scales1.tolist(),
             "lambda0": self.lambda0,
             "lambda1": self.lambda1,
         }
@@ -116,10 +98,6 @@ class OutcomeModel:
             expansion=payload["expansion"],
             coef0=np.array(payload["coef0"], dtype=float),
             coef1=np.array(payload["coef1"], dtype=float),
-            centers0=np.array(payload["centers0"], dtype=float),
-            scales0=np.array(payload["scales0"], dtype=float),
-            centers1=np.array(payload["centers1"], dtype=float),
-            scales1=np.array(payload["scales1"], dtype=float),
             lambda0=float(payload["lambda0"]),
             lambda1=float(payload["lambda1"]),
         )
@@ -163,20 +141,11 @@ def fit_ols_per_arm(
                 f"arm {w} has {n_w} units, need >= p+2 = {data.p + 2} for OLS"
             )
     coefs = []
-    k = expanded_dim(data.p, expansion)
     for x_arm, y_arm in _arm_views(data):
         design = np.hstack([np.ones((len(y_arm), 1)), expand_features(x_arm, expansion)])
         coef, *_ = np.linalg.lstsq(design, y_arm, rcond=None)
         coefs.append(coef)
-    return OutcomeModel(
-        expansion=expansion,
-        coef0=coefs[0],
-        coef1=coefs[1],
-        centers0=np.zeros(k),
-        scales0=np.ones(k),
-        centers1=np.zeros(k),
-        scales1=np.ones(k),
-    )
+    return OutcomeModel(expansion=expansion, coef0=coefs[0], coef1=coefs[1])
 
 
 def default_lambda_grid(features: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -279,8 +248,6 @@ def fit_lasso_per_arm(
         raise ValueError(f"folds must be >= 2, got {folds}")
     arm_coef: list[np.ndarray] = []
     arm_lambda: list[float] = []
-    arm_centers: list[np.ndarray] = []
-    arm_scales: list[np.ndarray] = []
     for w, (x_arm, y_arm) in enumerate(_arm_views(data)):
         n_w = len(y_arm)
         if n_w < folds:
@@ -313,17 +280,11 @@ def fit_lasso_per_arm(
         intercept = y_arm.mean() - float(beta @ ctr)
         arm_coef.append(np.concatenate([[intercept], beta]))
         arm_lambda.append(float(grid[best]))
-        arm_centers.append(ctr)
-        arm_scales.append(sc)
 
     return OutcomeModel(
         expansion="quadratic",
         coef0=arm_coef[0],
         coef1=arm_coef[1],
-        centers0=arm_centers[0],
-        scales0=arm_scales[0],
-        centers1=arm_centers[1],
-        scales1=arm_scales[1],
         lambda0=arm_lambda[0],
         lambda1=arm_lambda[1],
     )

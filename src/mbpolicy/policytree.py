@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -135,48 +136,51 @@ class TreePolicy:
 
     @classmethod
     def from_text(cls, text: str) -> "TreePolicy":
-        lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-        header = re.fullmatch(r"policy depth=(\d+)", lines[0])
-        if header is None:
-            raise ValueError("first line must be 'policy depth=D'")
-        depth = int(header.group(1))
-        if not lines[1].startswith("eligible: "):
-            raise ValueError("second line must list eligible feature indices")
-        eligible = tuple(int(t) for t in lines[1][len("eligible: "):].split(", "))
-        pos = 2
-        names = None
-        if pos < len(lines) and lines[pos].startswith("names: "):
-            names = tuple(json.loads(lines[pos][len("names: "):]))
+        """Parse the to_text form; malformed input raises ValueError naming the line."""
+        lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        lines.append((lines[-1][0] + 1 if lines else 1, "<end of text>"))
+
+        def expect(pos: int, pattern: str, what: str) -> re.Match:
+            number, line = lines[pos]
+            matched = re.fullmatch(pattern, line)
+            if matched is None:
+                raise ValueError(f"line {number}: expected {what}, got {line!r}")
+            return matched
+
+        depth = int(expect(0, r"policy depth=([12])", "'policy depth=D', D in 1..2").group(1))
+        indices = expect(1, r"eligible: (\d{1,18}(?:, \d{1,18})*)", "'eligible: ' and indices")
+        eligible = tuple(int(t) for t in indices.group(1).split(", "))
+        pos, names = 2, None
+        if lines[pos][1].startswith("names: "):
+            try:
+                names = tuple(json.loads(lines[pos][1][len("names: "):]))
+            except (TypeError, ValueError):
+                raise ValueError(f"line {lines[pos][0]}: names must be a JSON list") from None
             pos += 1
 
         n_internal = 2**depth - 1
         features = np.zeros(n_internal, dtype=np.int64)
         thresholds = np.zeros(n_internal, dtype=float)
         leaves = np.zeros(n_internal + 1, dtype=np.int64)
-        split_re = re.compile(r"if x\[(\d+)\](?: \(.*\))? <= (.+):")
-        leaf_re = re.compile(r"action ([01])")
 
         def parse(node: int, level: int, cursor: int) -> int:
-            line = lines[cursor].strip()
             if level == depth:
-                matched = leaf_re.fullmatch(line)
-                if matched is None:
-                    raise ValueError(f"expected leaf action, got {line!r}")
-                leaves[node - n_internal] = int(matched.group(1))
+                leaf = expect(cursor, r"action ([01])", "leaf action")
+                leaves[node - n_internal] = int(leaf.group(1))
                 return cursor + 1
-            matched = split_re.fullmatch(line)
-            if matched is None:
-                raise ValueError(f"expected split, got {line!r}")
-            features[node] = int(matched.group(1))
-            thresholds[node] = float(matched.group(2))
+            split = expect(cursor, r"if x\[(\d{1,18})\](?: \(.*\))? <= (.+):", "split")
+            features[node] = int(split.group(1))
+            try:
+                thresholds[node] = float(split.group(2))
+            except ValueError:
+                raise ValueError(f"line {lines[cursor][0]}: bad threshold in split") from None
             cursor = parse(2 * node + 1, level + 1, cursor + 1)
-            if lines[cursor].strip() != "else:":
-                raise ValueError(f"expected 'else:', got {lines[cursor]!r}")
+            expect(cursor, "else:", "'else:'")
             return parse(2 * node + 2, level + 1, cursor + 1)
 
         end = parse(0, 0, pos)
-        if end != len(lines):
-            raise ValueError("trailing content after policy body")
+        if end != len(lines) - 1:
+            raise ValueError(f"line {lines[end][0]}: trailing content after policy body")
         return cls(
             depth=depth,
             features=features,
@@ -193,26 +197,35 @@ class TreePolicy:
                 "features": self.features.tolist(),
                 "thresholds": self.thresholds.tolist(),
                 "leaf_actions": self.leaf_actions.tolist(),
-                "eligible_features": list(self.eligible_features),
-                "feature_names": (
-                    list(self.feature_names) if self.feature_names is not None else None
-                ),
+                "eligible_features": self.eligible_features,
+                "feature_names": self.feature_names,
             },
             indent=2,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "TreePolicy":
+        """Parse the to_json form; malformed input raises ValueError naming the key."""
         payload = json.loads(text)
-        names = payload.get("feature_names")
-        return cls(
-            depth=int(payload["depth"]),
-            features=np.array(payload["features"], dtype=np.int64),
-            thresholds=np.array(payload["thresholds"], dtype=float),
-            leaf_actions=np.array(payload["leaf_actions"], dtype=np.int64),
-            eligible_features=tuple(payload["eligible_features"]),
-            feature_names=tuple(names) if names is not None else None,
-        )
+        if not isinstance(payload, dict):
+            raise ValueError(f"policy JSON must be an object, got {type(payload).__name__}")
+        payload.setdefault("feature_names", None)
+        fields = {}
+        for key, convert in (
+            ("depth", int),
+            ("features", partial(np.array, dtype=np.int64)),
+            ("thresholds", partial(np.array, dtype=float)),
+            ("leaf_actions", partial(np.array, dtype=np.int64)),
+            ("eligible_features", lambda v: tuple(int(f) for f in v)),
+            ("feature_names", lambda v: None if v is None else tuple(v)),
+        ):
+            if key not in payload:
+                raise ValueError(f"policy JSON is missing key {key!r}")
+            try:
+                fields[key] = convert(payload[key])
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"policy JSON key {key!r}: {exc}") from None
+        return cls(**fields)
 
 
 def constant_policy(
@@ -374,13 +387,12 @@ class LearnConfig:
     m: matches per unit. correction: counterfactual adjustment, one of
     "none", "ols" (linear fit per arm), "lasso" (quadratic-expansion lasso
     per arm, penalty by cross-validation). seed drives only the lasso CV
-    fold shuffles. eligible_features None means all dataset-eligible features.
+    fold shuffles. Splits use the dataset's policy-eligible features.
     """
 
     m: int = 5
     correction: str = "lasso"
     depth: int = 2
-    eligible_features: tuple[int, ...] | None = None
     lasso_folds: int = 5
     seed: int = 0
 
@@ -393,6 +405,10 @@ class LearnConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.depth not in range(1, MAX_DEPTH + 1):
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
+        if self.lasso_folds < 2:
+            raise ValueError(f"lasso_folds must be >= 2, got {self.lasso_folds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class PolicyLearningError(RuntimeError):
@@ -439,22 +455,11 @@ def learn_policy(
     lasso cross-validation shuffle. Pass a precomputed imputation to reuse it
     (e.g. when the per-unit scores are also being reported).
     """
-    eligible = (
-        data.eligible_feature_indices()
-        if config.eligible_features is None
-        else tuple(sorted({int(f) for f in config.eligible_features}))
-    )
+    eligible = data.eligible_feature_indices()
     if imputed is None:
         imputed = impute_scores(data, config)
     tree = _run_stage(
         "search",
         lambda: search_tree(data.x, imputed.gamma, config.depth, eligible),
     )
-    return TreePolicy(
-        depth=tree.depth,
-        features=tree.features,
-        thresholds=tree.thresholds,
-        leaf_actions=tree.leaf_actions,
-        eligible_features=tree.eligible_features,
-        feature_names=data.feature_names,
-    )
+    return replace(tree, feature_names=data.feature_names)

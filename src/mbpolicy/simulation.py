@@ -22,6 +22,7 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -40,7 +41,6 @@ __all__ = [
     "MonteCarloEstimate",
     "ReplicateResult",
     "METHODS",
-    "derive_seed",
     "generate",
     "empirical_value",
     "true_advantage",
@@ -259,17 +259,10 @@ def learn_with_method(
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
     if method == "aipw-tree":
         e_hat = fit_linear_probability(data)
-        model = fit_ols_per_arm(data, "quadratic")
-        scores = aipw_scores(data, e_hat, lambda pts, arm: predict_matrix(model, pts, arm))
+        mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
+        scores = aipw_scores(data, e_hat, mu_hat)
         tree = search_tree(data.x, scores.gamma, depth, data.eligible_feature_indices())
-        return TreePolicy(
-            depth=tree.depth,
-            features=tree.features,
-            thresholds=tree.thresholds,
-            leaf_actions=tree.leaf_actions,
-            eligible_features=tree.eligible_features,
-            feature_names=data.feature_names,
-        )
+        return replace(tree, feature_names=data.feature_names)
     config = replace(METHODS[method], depth=depth, seed=seed)
     return learn_policy(data, config)
 

@@ -162,10 +162,6 @@ class TestConditionalBias:
             expansion="linear",
             coef0=np.zeros(k + 1),
             coef1=np.zeros(k + 1),
-            centers0=np.zeros(k),
-            scales0=np.ones(k),
-            centers1=np.zeros(k),
-            scales1=np.ones(k),
         )
 
     def test_zero_model_gives_zero(self):

@@ -1,10 +1,19 @@
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from mbpolicy import TreePolicy
+from mbpolicy import (
+    CsvSchema,
+    TreePolicy,
+    aipw_value_estimate,
+    arm_proportion_propensity,
+    fit_ols_per_arm,
+    load_csv,
+    predict_matrix,
+)
 from mbpolicy.cli import main
 
 
@@ -150,6 +159,17 @@ class TestEvaluate:
         assert payload["n_treated_by_policy"] == 20
         assert np.isfinite(payload["value"])
         assert "estimated value" in capsys.readouterr().out
+
+    def test_value_uses_full_data_quadratic_ols(self, eval_csv, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--data", str(eval_csv), "--policy", "treat-all",
+                     "--out", str(out)]) == 0
+        data = load_csv(eval_csv, CsvSchema("treat", "re78", ("a", "b")))
+        expected = aipw_value_estimate(
+            data, np.ones(data.n, dtype=int), arm_proportion_propensity(data),
+            partial(predict_matrix, fit_ols_per_arm(data, "quadratic")),
+        )
+        assert json.loads((out / "evaluation.json").read_text())["value"] == expected
 
     def test_treat_none_policy(self, eval_csv, tmp_path):
         out = tmp_path / "eval"

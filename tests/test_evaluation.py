@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mbpolicy import (
     fit_linear_probability,
     fit_ols_per_arm,
     predict_matrix,
+    search_tree,
 )
 
 
@@ -170,6 +173,22 @@ class TestCrossValidate:
             data, np.ones(20, dtype=int), arm_proportion_propensity(data), mu
         )
         assert report.mean == pytest.approx(direct, rel=1e-12)
+
+    def test_default_outcome_plug_in_is_full_data_quadratic_ols(self):
+        rng = np.random.default_rng(95)
+        data = balanced_data(rng, 30)
+
+        def stump_learner(train):
+            return search_tree(train.x, 2.0 * train.y * (2.0 * train.w - 1.0), depth=1)
+
+        def run(mu_hat):
+            return cross_validate(data, stump_learner, folds=3, repeats=2, seed=6,
+                                  mu_hat=mu_hat).values
+
+        quadratic = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
+        linear = partial(predict_matrix, fit_ols_per_arm(data, "linear"))
+        np.testing.assert_array_equal(run(None), run(quadratic))
+        assert not np.array_equal(run(None), run(linear))
 
     def test_same_seed_reproduces_bitwise(self):
         rng = np.random.default_rng(93)

@@ -89,10 +89,6 @@ class TestPredict:
             expansion="linear",
             coef0=np.array([1.0, 2.0]),
             coef1=np.array([4.0, -1.0]),
-            centers0=np.zeros(1),
-            scales0=np.ones(1),
-            centers1=np.zeros(1),
-            scales1=np.ones(1),
         )
 
     def test_affine_evaluation(self):

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mbpolicy import (
     LearnConfig,
@@ -118,6 +121,109 @@ class TestTreePolicyType:
         tree = stump(0, value, 0, 1)
         restored = TreePolicy.from_text(tree.to_text())
         assert restored.thresholds[0] == value
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: expected 'policy depth=D'"),
+            ("policy depth=1\n", "line 2: expected 'eligible: '"),
+            ("policy depth=1\neligible: 0, 1\nif x[0] <= 1.5:\n  action 1\n",
+             "line 5: expected 'else:', got '<end of text>'"),
+            ("policy depth=3\neligible: 0\n", "line 1: expected 'policy depth=D', D in 1..2"),
+            ("policy depth=1\neligible: 0, a\n", "line 2: expected 'eligible: ' and indices"),
+            ("policy depth=1\neligible: 0\nnames: null\n", "line 3: names must be a JSON list"),
+            ("policy depth=1\neligible: 0\nif x[0] <= high:\n", "line 3: bad threshold"),
+            ("policy depth=1\neligible: 0\n\nif x[0] <= 1.0:\n  action 1\nelse:\n  action 2\n",
+             "line 7: expected leaf action"),
+        ],
+        ids=["empty", "header-only", "truncated", "depth-3", "bad-eligible", "null-names",
+             "bad-threshold", "bad-leaf"],
+    )
+    def test_malformed_text_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            TreePolicy.from_text(text)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [d], "must be an object, got list"),
+            (lambda d: {k: v for k, v in d.items() if k != "features"},
+             "missing key 'features'"),
+            (lambda d: {**d, "features": None}, "key 'features'"),
+            (lambda d: {**d, "eligible_features": 3}, "key 'eligible_features'"),
+            (lambda d: {**d, "thresholds": {"a": 1}}, "key 'thresholds'"),
+            (lambda d: {**d, "depth": "two"}, "key 'depth'"),
+            (lambda d: {**d, "feature_names": 7}, "key 'feature_names'"),
+        ],
+        ids=["list", "missing-key", "null-features", "scalar-eligible", "object-thresholds",
+             "string-depth", "scalar-names"],
+    )
+    def test_malformed_json_names_the_key(self, edit, message):
+        payload = json.loads(stump(0, 1.5, 1, 0).to_json())
+        with pytest.raises(ValueError, match=message):
+            TreePolicy.from_json(json.dumps(edit(payload)))
+
+
+@st.composite
+def trees(draw):
+    depth = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 4))
+    eligible = draw(st.sets(st.integers(0, p - 1), min_size=1))
+    n_internal = 2**depth - 1
+    # to_text writes names on single lines, so line breaks cannot round-trip
+    name = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")))
+    return TreePolicy(
+        depth=depth,
+        features=draw(st.lists(st.sampled_from(sorted(eligible)), min_size=n_internal,
+                               max_size=n_internal)),
+        thresholds=draw(st.lists(st.floats(allow_nan=False), min_size=n_internal,
+                                 max_size=n_internal)),
+        leaf_actions=draw(st.lists(st.integers(0, 1), min_size=n_internal + 1,
+                                   max_size=n_internal + 1)),
+        eligible_features=tuple(eligible),
+        feature_names=draw(st.none() | st.lists(name, min_size=p, max_size=p)),
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestPolicyParsingProperties:
+    @given(trees())
+    def test_text_and_json_round_trip(self, tree):
+        assert TreePolicy.from_text(tree.to_text()) == tree
+        assert TreePolicy.from_json(tree.to_json()) == tree
+
+    @given(st.text() | trees().flatmap(
+        lambda tree: st.integers(0, len(tree.to_text())).map(lambda k: tree.to_text()[:k])
+    ))
+    def test_arbitrary_text_raises_only_value_error(self, text):
+        try:
+            TreePolicy.from_text(text)
+        except ValueError:
+            pass
+
+    @given(trees(), st.sampled_from(["depth", "features", "thresholds", "leaf_actions",
+                                     "eligible_features", "feature_names"]), json_values)
+    def test_arbitrary_json_field_raises_only_value_error(self, tree, key, value):
+        payload = json.loads(tree.to_json())
+        payload[key] = value
+        try:
+            TreePolicy.from_json(json.dumps(payload))
+        except ValueError:
+            pass
+
+    @given(json_values | st.text())
+    def test_arbitrary_json_document_raises_only_value_error(self, value):
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            TreePolicy.from_json(text)
+        except ValueError:
+            pass
 
 
 class TestSearchTree:
@@ -277,6 +383,10 @@ class TestLearnPolicy:
             LearnConfig(m=0)
         with pytest.raises(ValueError, match="depth"):
             LearnConfig(depth=3)
+        with pytest.raises(ValueError, match="seed"):
+            LearnConfig(seed=-1)
+        with pytest.raises(ValueError, match="lasso_folds"):
+            LearnConfig(lasso_folds=1)
 
     def test_deterministic_given_config(self):
         rng = np.random.default_rng(72)
