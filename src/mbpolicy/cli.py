@@ -21,7 +21,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .dataset import CsvSchema, load_csv, normalized_differences
+from .dataset import CsvSchema, load_csv, normalized_differences, write_csv
 from .evaluation import (
     aipw_value_estimate,
     arm_proportion_propensity,
@@ -92,20 +92,21 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_manifest(
     out: Path, command: str, parameters: dict, inputs: dict[str, Path]
 ) -> None:
-    manifest = {
+    _write_json(out / "manifest.json", {
         "command": command,
         "parameters": parameters,
         "inputs": {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in inputs.items()
         },
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def _write_checksums(out: Path, names: list[str]) -> None:
@@ -156,6 +157,14 @@ def _resolve_policy(spec: str, feature_names: tuple[str, ...]) -> TreePolicy:
     return TreePolicy.from_text(text)
 
 
+def _write_grid(out: Path, rows: list) -> None:
+    """Simulation-grid outputs: results, summary and timings; checksums skip the timings."""
+    write_results_csv(rows, out / "results.csv")
+    write_summary_csv(rows, out / "summary.csv")
+    write_timings_csv(rows, out / "timings.csv")
+    _write_checksums(out, ["results.csv", "summary.csv"])
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     methods = _split_csv_flag(args.method)
     unknown = [m for m in methods if m not in METHODS]
@@ -187,18 +196,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         inputs={},
     )
     rows = run_experiment(
-        settings,
-        methods,
-        args.reps,
-        seed=args.seed,
-        test_n=args.test_n,
-        depth=args.depth,
+        settings, methods, args.reps, seed=args.seed, test_n=args.test_n, depth=args.depth,
         threads=args.threads,
     )
-    write_results_csv(rows, out / "results.csv")
-    write_summary_csv(rows, out / "summary.csv")
-    write_timings_csv(rows, out / "timings.csv")
-    _write_checksums(out, ["results.csv", "summary.csv"])
+    _write_grid(out, rows)
     for summary in summarize_results(rows):
         print(
             f"{summary['method']}: mean value {summary['mean_value']:.4f} "
@@ -239,17 +240,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         for n in sizes
     ]
     rows = run_experiment(
-        settings,
-        list(methods),
-        reps,
-        seed=args.seed,
-        test_n=args.test_n,
-        threads=args.threads,
+        settings, list(methods), reps, seed=args.seed, test_n=args.test_n, threads=args.threads
     )
-    write_results_csv(rows, out / "results.csv")
-    write_summary_csv(rows, out / "summary.csv")
-    write_timings_csv(rows, out / "timings.csv")
-    _write_checksums(out, ["results.csv", "summary.csv"])
+    _write_grid(out, rows)
     n_failed = sum(1 for row in rows if row.error)
     print(f"{len(rows)} replicate rows written, {n_failed} failed")
     if rows and n_failed == len(rows):
@@ -290,20 +283,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
     tree = learn_policy(data, config, imputed=imputed)
     (out / "policy.txt").write_text(tree.to_text(), encoding="utf-8")
     (out / "policy.json").write_text(tree.to_json() + "\n", encoding="utf-8")
-    with open(out / "gamma.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "w", "y", "y0_imputed", "y1_imputed", "gamma"])
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    i,
-                    int(data.w[i]),
-                    repr(float(data.y[i])),
-                    repr(float(imputed.y0[i])),
-                    repr(float(imputed.y1[i])),
-                    repr(float(imputed.gamma[i])),
-                ]
-            )
+    columns = (data.w, data.y, imputed.y0, imputed.y1, imputed.gamma)
+    write_csv(
+        out / "gamma.csv",
+        ("unit", "w", "y", "y0_imputed", "y1_imputed", "gamma"),
+        zip(range(data.n), *(column.tolist() for column in columns)),
+    )
     _write_checksums(out, ["policy.txt", "policy.json", "gamma.csv"])
     print(tree.to_text(), end="")
     return EXIT_OK
@@ -337,21 +322,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             e_hat=e_hat,
         )
         report.to_csv(out / "cv_values.csv")
-        payload = {
+        write_csv(out / "cv_failures.csv", ("failure",), ((f,) for f in report.failures))
+        _write_json(out / "evaluation.json", {
             "cv_mean": report.mean,
             "cv_std": report.std,
             "folds": report.folds,
             "repeats": report.repeats,
             "failed_repeats": report.n_failed_repeats,
             "method": args.method,
-        }
-        (out / "evaluation.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        _write_checksums(out, ["evaluation.json", "cv_values.csv"])
+        })
+        _write_checksums(out, ["evaluation.json", "cv_values.csv", "cv_failures.csv"])
         print(f"cross-validated value: mean {report.mean:.1f} (sd {report.std:.1f})")
         if report.n_failed_repeats:
-            print(f"{report.n_failed_repeats} repeats failed", file=sys.stderr)
+            print(
+                f"{report.n_failed_repeats} repeats failed; reasons in {out / 'cv_failures.csv'}",
+                file=sys.stderr,
+            )
             if report.n_failed_repeats == report.repeats:
                 return EXIT_RUNTIME
         return EXIT_OK
@@ -361,10 +347,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     assignments = evaluate_policy(tree, data.x)
     mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
     value = aipw_value_estimate(data, assignments, e_hat, mu_hat)
-    payload = {"policy": args.policy, "value": value, "n_treated_by_policy": int(assignments.sum())}
-    (out / "evaluation.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "evaluation.json", {
+        "policy": args.policy, "value": value, "n_treated_by_policy": int(assignments.sum())
+    })
     _write_checksums(out, ["evaluation.json"])
     print(f"estimated value under policy {args.policy!r}: {value:.1f}")
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "load_csv",
     "normalized_differences",
     "concat_datasets",
+    "write_csv",
 ]
 
 
@@ -131,11 +132,8 @@ class BalanceReport:
     n_treated: int
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "normalized_difference"])
-            for name, value in zip(self.feature_names, self.normalized_diffs):
-                writer.writerow([name, repr(float(value))])
+        rows = zip(self.feature_names, self.normalized_diffs)
+        write_csv(path, ("feature", "normalized_difference"), rows)
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,19 @@ class CsvSchema:
         if len(set(roles)) != len(roles):
             raise ValueError("schema assigns one column to multiple roles")
         object.__setattr__(self, "covariates", cov)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV: the header, then the rows.
+
+    The one writer behind every CSV this package outputs. The csv module
+    renders each value with str(), so floats (numpy scalars included) appear
+    as their shortest round-trip repr and reruns give identical bytes.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:

@@ -14,7 +14,6 @@ dataset, matching the protocol of evaluating with design-level propensities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .advantage import _mu_matrix
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, write_csv
 from .outcome_models import _standardize, fit_ols_per_arm, predict_matrix
 from .policytree import TreePolicy, evaluate_policy
 from .seeding import derive_seed, philox_rng
@@ -142,11 +141,7 @@ class CrossValReport:
         return int(np.sum(np.isnan(self.values)))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["repeat", "value"])
-            for r, v in enumerate(self.values):
-                writer.writerow([r, repr(float(v))])
+        write_csv(path, ("repeat", "value"), enumerate(self.values.tolist()))
 
 
 def cross_validate(

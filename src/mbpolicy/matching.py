@@ -8,13 +8,12 @@ matched-outcome mean and a regression-adjusted (bias-corrected) variant.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, write_csv
 from .metric import MahalanobisMetric
 from .outcome_models import OutcomeModel, predict_matrix
 
@@ -27,7 +26,7 @@ __all__ = [
     "k_pi_counts",
 ]
 
-_DISTANCE_BLOCK = 256  # rows per broadcasted distance block, bounds peak memory
+_BLOCK_BYTES = 1 << 23  # budget for one block's (rows, candidates, p) differences
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,9 @@ class MatchResult:
 
     def to_csv(self, path: str | Path) -> None:
         """Diagnostic dump: one row per (unit, rank) pair."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["unit", "rank", "matched_index", "distance"])
-            for i in range(self.n):
-                for r in range(self.m):
-                    writer.writerow(
-                        [i, r, int(self.matched_sets[i, r]), repr(float(self.distances[i, r]))]
-                    )
+        sets, dists = self.matched_sets.tolist(), self.distances.tolist()
+        rows = ((i, r, sets[i][r], dists[i][r]) for i in range(self.n) for r in range(self.m))
+        write_csv(path, ("unit", "rank", "matched_index", "distance"), rows)
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,9 @@ def match_units(
         units = data.arm_indices(w)
         cands = data.arm_indices(1 - w)  # ascending original indices
         z_c = z[cands]
-        for start in range(0, len(units), _DISTANCE_BLOCK):
-            block = units[start : start + _DISTANCE_BLOCK]
+        rows = max(1, _BLOCK_BYTES // z_c.nbytes)
+        for start in range(0, len(units), rows):
+            block = units[start : start + rows]
             # Explicit differences keep exactly-tied candidates bitwise equal.
             diff = z[block][:, None, :] - z_c[None, :, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)

@@ -41,6 +41,11 @@ __all__ = [
 
 MAX_DEPTH = 2
 CORRECTIONS = ("none", "ols", "lasso")
+# Characters str.splitlines breaks on, escaped in split labels so each split
+# stays on one line of to_text; the names: line keeps the exact names.
+_LINE_BREAKS = str.maketrans(
+    {c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +115,7 @@ class TreePolicy:
     def _label(self, feature: int) -> str:
         if self.feature_names is None:
             return f"x[{feature}]"
-        return f"x[{feature}] ({self.feature_names[feature]})"
+        return f"x[{feature}] ({self.feature_names[feature].translate(_LINE_BREAKS)})"
 
     def to_text(self) -> str:
         """Nested human-readable form; parses back exactly via from_text."""

@@ -18,7 +18,6 @@ only, never from the method name.
 
 from __future__ import annotations
 
-import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .advantage import aipw_scores
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, write_csv
 from .evaluation import fit_linear_probability
 from .outcome_models import fit_ols_per_arm, predict_matrix
 from .policytree import LearnConfig, TreePolicy, evaluate_policy, learn_policy, search_tree
@@ -370,50 +369,24 @@ def run_experiment(
     ]
 
 
-_CSV_FIELDS = (
-    "propensity_scenario",
-    "main_effect",
-    "contrast",
-    "n",
-    "method",
-    "replicate",
-    "value",
-    "regret",
-    "error",
-)
+# Columns that identify a replicate row; results and timings both lead with them.
+_KEY_FIELDS = ("propensity_scenario", "main_effect", "contrast", "n", "method", "replicate")
+_GROUP_FIELDS = _KEY_FIELDS[:-1]  # setting and method: one summary row each
+_SUMMARY_STATS = ("mean_value", "sd_value", "median_value", "iqr_value", "mean_regret")
+_SUMMARY_FIELDS = (*_GROUP_FIELDS, "replications", "failed", *_SUMMARY_STATS)
+
+
+def _write_fields(rows: list[ReplicateResult], path: str | Path, fields: tuple[str, ...]) -> None:
+    write_csv(path, fields, ([getattr(row, f) for f in fields] for row in rows))
 
 
 def write_results_csv(rows: list[ReplicateResult], path: str | Path) -> None:
     """One row per replicate. Deterministic: wall times go to the timings CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.propensity_scenario,
-                    row.main_effect,
-                    row.contrast,
-                    row.n,
-                    row.method,
-                    row.replicate,
-                    repr(row.value),
-                    repr(row.regret),
-                    row.error,
-                ]
-            )
+    _write_fields(rows, path, (*_KEY_FIELDS, "value", "regret", "error"))
 
 
 def write_timings_csv(rows: list[ReplicateResult], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["propensity_scenario", "main_effect", "contrast", "n",
-                         "method", "replicate", "seconds"])
-        for row in rows:
-            writer.writerow(
-                [row.propensity_scenario, row.main_effect, row.contrast, row.n,
-                 row.method, row.replicate, repr(row.seconds)]
-            )
+    _write_fields(rows, path, (*_KEY_FIELDS, "seconds"))
 
 
 def summarize_results(
@@ -421,63 +394,25 @@ def summarize_results(
 ) -> list[dict[str, object]]:
     """Per (setting, method) aggregates over non-failed replicates."""
     groups: dict[tuple, list[ReplicateResult]] = {}
-    order: list[tuple] = []
     for row in rows:
-        key = (row.propensity_scenario, row.main_effect, row.contrast, row.n, row.method)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(getattr(row, f) for f in _GROUP_FIELDS), []).append(row)
     out = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         ok = [r for r in members if not r.error]
         values = np.array([r.value for r in ok])
         regrets = np.array([r.regret for r in ok])
-        summary: dict[str, object] = {
-            "propensity_scenario": key[0],
-            "main_effect": key[1],
-            "contrast": key[2],
-            "n": key[3],
-            "method": key[4],
-            "replications": len(members),
-            "failed": len(members) - len(ok),
-        }
+        summary: dict[str, object] = dict(zip(_GROUP_FIELDS, key))
+        summary.update(replications=len(members), failed=len(members) - len(ok))
+        stats = [float("nan")] * len(_SUMMARY_STATS)
         if ok:
             q1, q2, q3 = np.percentile(values, [25, 50, 75])
-            summary.update(
-                mean_value=float(values.mean()),
-                sd_value=float(values.std(ddof=1)) if len(ok) > 1 else 0.0,
-                median_value=float(q2),
-                iqr_value=float(q3 - q1),
-                mean_regret=float(regrets.mean()),
-            )
-        else:
-            summary.update(
-                mean_value=float("nan"),
-                sd_value=float("nan"),
-                median_value=float("nan"),
-                iqr_value=float("nan"),
-                mean_regret=float("nan"),
-            )
+            sd = values.std(ddof=1) if len(ok) > 1 else 0.0
+            stats = [values.mean(), sd, q2, q3 - q1, regrets.mean()]
+        summary.update(zip(_SUMMARY_STATS, map(float, stats)))
         out.append(summary)
     return out
 
 
 def write_summary_csv(rows: list[ReplicateResult], path: str | Path) -> None:
     summaries = summarize_results(rows)
-    fields = [
-        "propensity_scenario", "main_effect", "contrast", "n", "method",
-        "replications", "failed", "mean_value", "sd_value", "median_value",
-        "iqr_value", "mean_regret",
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for summary in summaries:
-            writer.writerow(
-                [
-                    summary[f] if not isinstance(summary[f], float) else repr(summary[f])
-                    for f in fields
-                ]
-            )
+    write_csv(path, _SUMMARY_FIELDS, ([s[f] for f in _SUMMARY_FIELDS] for s in summaries))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from functools import partial
@@ -70,6 +71,13 @@ class TestSimulate:
         for line in (out / "outputs.sha256").read_text().splitlines():
             digest, name = line.split("  ")
             assert digest == sha256(out / name)
+
+    def test_threads_do_not_change_outputs(self, tmp_path):
+        one, two = tmp_path / "t1", tmp_path / "t2"
+        assert main(simulate_args(one, ["--threads", "1"])) == 0
+        assert main(simulate_args(two, ["--threads", "2"])) == 0
+        for name in ("results.csv", "summary.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
 
     def test_zero_reps_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -212,6 +220,23 @@ class TestEvaluate:
         assert main(args(second)) == 0
         assert (first / "cv_values.csv").read_bytes() == (second / "cv_values.csv").read_bytes()
         assert (first / "evaluation.json").read_bytes() == (second / "evaluation.json").read_bytes()
+
+    def test_cv_failures_are_written_per_fold(self, eval_csv, tmp_path, capsys):
+        out = tmp_path / "cv"
+        code = main([
+            "evaluate", "--data", str(eval_csv), "--cv", "--repeats", "1",
+            "--method", "mb-m1", "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "cv_failures.csv" in capsys.readouterr().err
+        with open(out / "cv_failures.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["failure"]
+        assert len(rows) == 1 + 5  # one row per fold of the failed repeat
+        for k, (failure,) in enumerate(rows[1:]):
+            assert failure.startswith(f"repeat 0 fold {k}: ")
+            assert "seed must be >= 0" in failure
+        assert "cv_failures.csv" in (out / "outputs.sha256").read_text()
 
 
 class TestBalance:

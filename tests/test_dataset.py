@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mbpolicy import CsvSchema, ObservationalDataset, concat_datasets, load_csv, normalized_differences
+from mbpolicy import dataset
 
 
 def make_data(x, w, y, names=None):
@@ -184,3 +185,29 @@ def test_concat_requires_matching_names():
     b = make_data([2.0, 3.0], [1, 0], [3.0, 4.0], names=("v",))
     with pytest.raises(ValueError, match="feature names differ"):
         concat_datasets(a, b)
+
+
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        dataset.write_csv(path, ("label", "value"), [
+            ("nan", float("nan")),
+            ("inf", float("inf")),
+            ("negative zero", -0.0),
+            ("tenth", 0.1),
+            ("huge", 1e300),
+            ("numpy float", np.float64(0.1)),
+            ("numpy int", np.int64(7)),
+            ('a, "quoted"\nname', 2),
+        ])
+        assert path.read_bytes() == (
+            b"label,value\r\n"
+            b"nan,nan\r\n"
+            b"inf,inf\r\n"
+            b"negative zero,-0.0\r\n"
+            b"tenth,0.1\r\n"
+            b"huge,1e+300\r\n"
+            b"numpy float,0.1\r\n"
+            b"numpy int,7\r\n"
+            b'"a, ""quoted""\nname",2\r\n'
+        )

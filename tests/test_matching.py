@@ -10,6 +10,8 @@ from mbpolicy import (
     match_units,
 )
 
+from mbpolicy import matching
+
 from _oracles import random_dataset, slow_matched_sets
 
 
@@ -81,6 +83,20 @@ class TestMatchUnits:
             matches = match_units(data, metric, m=m)
             expected = slow_matched_sets(data.x, data.w, metric.v, m)
             assert matches.matched_sets.tolist() == expected
+
+    def test_one_row_blocks_are_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        data = random_dataset(rng, 300, 3, min_arm=20)
+        # rounded covariates give many exactly tied candidates
+        data = ObservationalDataset(
+            x=np.round(data.x), w=data.w, y=data.y, feature_names=data.feature_names
+        )
+        metric = fit_mahalanobis(data.x)
+        whole = match_units(data, metric, m=4)
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 1)
+        one_row = match_units(data, metric, m=4)
+        for name in ("matched_sets", "distances", "k_counts"):
+            assert getattr(one_row, name).tobytes() == getattr(whole, name).tobytes()
 
     def test_removing_an_unused_unit_leaves_sets_alone(self):
         rng = np.random.default_rng(25)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestTreePolicyType:
         assert "if x[1] (income) <= 0.25:" in text
         assert TreePolicy.from_text(text) == tree
 
+    def test_line_breaks_in_names_are_escaped_in_the_label(self):
+        breaks = "".join(c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1)
+        tree = dataclasses.replace(stump(0, 1.5, 1, 0, p=1), feature_names=(f"earn{breaks}ings",))
+        text = tree.to_text()
+        assert text.splitlines()[3] == (
+            r"if x[0] (earn\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029ings) <= 1.5:"
+        )
+        assert TreePolicy.from_text(text) == tree
+
     def test_text_round_trip_without_names(self):
         tree = stump(0, 1.5, 1, 0)
         assert TreePolicy.from_text(tree.to_text()) == tree
@@ -170,8 +180,7 @@ def trees(draw):
     p = draw(st.integers(1, 4))
     eligible = draw(st.sets(st.integers(0, p - 1), min_size=1))
     n_internal = 2**depth - 1
-    # to_text writes names on single lines, so line breaks cannot round-trip
-    name = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")))
+    name = st.text()
     return TreePolicy(
         depth=depth,
         features=draw(st.lists(st.sampled_from(sorted(eligible)), min_size=n_internal,
