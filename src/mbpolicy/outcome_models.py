@@ -1,9 +1,13 @@
 """Per-arm outcome regressions used for bias correction and evaluation plug-ins.
 
 Two fitting routes: ordinary least squares on (1, X), and lasso on the
-quadratic expansion (1, X, squares, pairwise interactions) solved by cyclic
-coordinate descent with soft-thresholding along a warm-started descending
-penalty grid, the penalty chosen by seeded k-fold cross-validation.
+quadratic expansion (1, X, squares, pairwise interactions) along a
+warm-started descending penalty grid, the penalty chosen by seeded k-fold
+cross-validation. Each penalty step runs cyclic coordinate descent (CD) with
+soft-thresholding and tries the exact solution on the support and signs of the
+CD iterate. Its coefficients are that KKT-verified exact solution whenever one
+is found, and CD converged to CD_TOL otherwise; a step that runs out of
+CD_MAX_CYCLES issues a RuntimeWarning.
 
 CV folds are plain seeded shuffles (not treatment-stratified; fits are
 per-arm, so stratification has nothing to act on).
@@ -12,6 +16,7 @@ per-arm, so stratification has nothing to act on).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,7 @@ __all__ = [
 
 CD_TOL = 1e-7          # stop a penalty step when max coefficient change is below this
 CD_MAX_CYCLES = 10_000
+KKT_TOL = 1e-9         # KKT tolerance of an exact support solve, times max(1, lambda)
 GRID_SIZE = 100
 GRID_RATIO = 1e-4      # smallest grid entry = GRID_RATIO * lambda_max
 
@@ -170,12 +176,61 @@ def _soft(value: float, threshold: float) -> float:
     return 0.0
 
 
-def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Coordinate-descent solutions for centered data along a descending penalty grid.
+def _objective(
+    beta: np.ndarray, gram_beta: np.ndarray, corr: np.ndarray, y2: float, lam: float
+) -> float:
+    """(1/(2n))||yc - xs beta||^2 + lam ||beta||_1 from the Gram-form pieces."""
+    return 0.5 * (y2 - 2.0 * float(corr @ beta) + float(beta @ gram_beta)) + lam * float(
+        np.sum(np.abs(beta))
+    )
 
-    Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Gram-cached updates;
-    the penalized objective is asserted non-increasing on every full cycle.
-    Returns an array of shape (len(lambdas), k).
+
+def _exact_on_support(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    y2: float,
+    lam: float,
+    signs: np.ndarray,
+    ceiling: float,
+) -> np.ndarray | None:
+    """The lasso solution with sign pattern ``signs``, or None if it is not verified.
+
+    Solves G[A,A] b = corr[A] - lam signs[A] on the support A = {signs != 0}
+    by least squares, so a rank-deficient support does not raise. b (zero off
+    A) is returned only if sign(b) == signs, the KKT conditions hold to
+    KKT_TOL * max(1, lam) on A and on the live columns off A, and its objective
+    is at most ``ceiling`` (with the 1e-10 relative slack of the CD check).
+    """
+    support = signs != 0.0
+    b = np.zeros(len(signs))
+    if support.any():
+        b[support] = np.linalg.lstsq(
+            gram[np.ix_(support, support)], corr[support] - lam * signs[support], rcond=None
+        )[0]
+    gram_b = gram @ b
+    grad = corr - gram_b
+    tol = KKT_TOL * max(1.0, lam)
+    off = ~support & (np.diag(gram) > 0.0)
+    if (
+        np.array_equal(np.sign(b), signs)
+        and np.all(np.abs(grad[support] - lam * signs[support]) <= tol)
+        and np.all(np.abs(grad[off]) <= lam + tol)
+        and _objective(b, gram_b, corr, y2, lam) <= ceiling + 1e-10 * max(1.0, abs(ceiling))
+    ):
+        return b
+    return None
+
+
+def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Lasso solutions for centered data along a descending penalty grid.
+
+    Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each step warm-starts
+    Gram-cached coordinate descent; the penalized objective is asserted
+    non-increasing on every full cycle. A cycle that misses CD_TOL with a sign
+    pattern not yet tried at this step tries `_exact_on_support` with the
+    iterate's signs, and a verified solution ends the step. A step that runs
+    out of CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of
+    shape (len(lambdas), k).
     """
     n, k = xs.shape
     gram = xs.T @ xs / n
@@ -187,6 +242,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     for step, lam in enumerate(lambdas):
         q = gram @ beta  # refresh to stop incremental drift accumulating across steps
         prev_obj = np.inf
+        tried = None
         for _ in range(CD_MAX_CYCLES):
             max_delta = 0.0
             for j in range(k):
@@ -199,9 +255,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
                     q += delta * gram[:, j]
                     beta[j] = new
                     max_delta = max(max_delta, abs(delta))
-            obj = 0.5 * (y2 - 2.0 * float(corr @ beta) + float(beta @ q)) + lam * float(
-                np.sum(np.abs(beta))
-            )
+            obj = _objective(beta, q, corr, y2, lam)
             if obj > prev_obj + 1e-10 * max(1.0, abs(prev_obj)):
                 raise AssertionError(
                     f"penalized objective increased within a cycle: {prev_obj} -> {obj}"
@@ -209,6 +263,22 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
             prev_obj = obj
             if max_delta < CD_TOL:
                 break
+            signs = np.sign(beta)
+            if tried is not None and np.array_equal(signs, tried):
+                continue  # the same pattern gives the same answer
+            tried = signs
+            exact = _exact_on_support(gram, corr, y2, lam, signs, obj)
+            if exact is not None:
+                beta = exact
+                break
+        else:
+            warnings.warn(
+                f"lasso penalty step {step} (lambda={float(lam)!r}) did not converge "
+                f"in {CD_MAX_CYCLES} cycles; last max coefficient change "
+                f"{float(max_delta)!r}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         out[step] = beta
     return out
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's vectorized code paths:
 matching does a per-unit full sort over explicitly evaluated quadratic forms,
-the matching-ATE oracle walks the textbook formula term by term, and the tree
-oracle enumerates every candidate tree with plain masking and Python sums.
+the matching-ATE oracle walks the textbook formula term by term, the tree
+oracle enumerates every candidate tree with plain masking and Python sums, and
+the lasso oracle runs plain cyclic coordinate descent to its tolerance.
 Slow on purpose; correctness reference only.
 """
 
@@ -165,3 +166,55 @@ def tree_objective(tree: TreePolicy, x: np.ndarray, gamma: np.ndarray) -> float:
 
     signs = 2.0 * evaluate_policy(tree, x) - 1.0
     return float(np.sum(signs * gamma))
+
+
+def _soft(value: float, threshold: float) -> float:
+    if value > threshold:
+        return value - threshold
+    if value < -threshold:
+        return value + threshold
+    return 0.0
+
+
+def slow_lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Warm-started cyclic coordinate descent along a descending penalty grid.
+
+    Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each penalty step
+    cycles until the largest coefficient change falls below 1e-7 (at most
+    10,000 cycles), with no exact solve. Returns an array of shape
+    (len(lambdas), k).
+    """
+    n, k = xs.shape
+    gram = xs.T @ xs / n
+    corr = xs.T @ yc / n
+    y2 = float(yc @ yc) / n
+    diag = np.diag(gram).copy()
+    beta = np.zeros(k)
+    out = np.empty((len(lambdas), k))
+    for step, lam in enumerate(lambdas):
+        q = gram @ beta  # refresh to stop incremental drift accumulating across steps
+        prev_obj = np.inf
+        for _ in range(10_000):
+            max_delta = 0.0
+            for j in range(k):
+                if diag[j] <= 0.0:
+                    continue  # zero-variance column stays at coefficient 0
+                rho = corr[j] - q[j] + diag[j] * beta[j]
+                new = _soft(rho, lam) / diag[j]
+                delta = new - beta[j]
+                if delta != 0.0:
+                    q += delta * gram[:, j]
+                    beta[j] = new
+                    max_delta = max(max_delta, abs(delta))
+            obj = 0.5 * (y2 - 2.0 * float(corr @ beta) + float(beta @ q)) + lam * float(
+                np.sum(np.abs(beta))
+            )
+            if obj > prev_obj + 1e-10 * max(1.0, abs(prev_obj)):
+                raise AssertionError(
+                    f"penalized objective increased within a cycle: {prev_obj} -> {obj}"
+                )
+            prev_obj = obj
+            if max_delta < 1e-7:
+                break
+        out[step] = beta
+    return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,16 @@ from mbpolicy import (
     predict,
     predict_matrix,
 )
-from mbpolicy.outcome_models import _lasso_path, _standardize, default_lambda_grid
+from mbpolicy import outcome_models
+from mbpolicy.outcome_models import (
+    _exact_on_support,
+    _lasso_path,
+    _objective,
+    _standardize,
+    default_lambda_grid,
+)
+
+from _oracles import slow_lasso_path
 
 
 def two_arm_data(x0, y0, x1, y1):
@@ -218,3 +229,148 @@ class TestLasso:
         )
         with pytest.raises(ValueError, match="arm 0 has 4"):
             fit_lasso_per_arm(data, folds=5)
+
+
+def earnings_design(seed, n=120):
+    """Quadratic expansion of (flag, zero-inflated earnings, schooling) and an outcome.
+
+    The 0/1 flag and its square are the same column; earnings and schooling
+    are nearly collinear with their squares, as on the job-training study.
+    """
+    rng = np.random.default_rng(seed)
+    flag = (rng.random(n) < 0.4).astype(float)
+    worked = rng.random(n) < 0.25
+    amount = np.round(np.exp(8.5 + 0.8 * rng.standard_normal(n)), 2)
+    earnings = np.where(worked, amount, 0.0)
+    schooling = np.clip(np.round(rng.normal(12.0, 1.2, n)), 3, 18)
+    x = np.column_stack([flag, earnings, schooling])
+    y = 1000 + 200 * flag + 0.5 * earnings + 300 * schooling + 3000 * rng.standard_normal(n)
+    y = np.where(rng.random(n) < 0.3, 0.0, y)
+    return expand_features(x, "quadratic"), y
+
+
+def lasso_parts(xs, yc):
+    n = len(yc)
+    return xs.T @ xs / n, xs.T @ yc / n, float(yc @ yc) / n
+
+
+def kkt_violation(gram, corr, beta, lam):
+    """Largest breach of the lasso optimality conditions, over max(1, lambda)."""
+    grad = corr - gram @ beta
+    on = beta != 0.0
+    live = np.diag(gram) > 0.0
+    breach = np.concatenate(
+        [
+            np.abs(grad[on] - lam * np.sign(beta[on])),
+            np.abs(grad[live & ~on]) - lam,
+        ]
+    )
+    return max(float(np.max(breach, initial=0.0)), 0.0) / max(1.0, lam)
+
+
+class TestLassoExactSolve:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_coordinate_descent_oracle(self, seed):
+        features, y = earnings_design(seed)
+        xs, _, _ = _standardize(features)
+        yc = y - y.mean()
+        gram, corr, y2 = lasso_parts(xs, yc)
+        live = np.flatnonzero(np.diag(gram) > 0.0)
+        duplicate = [
+            j for j in live if any(np.array_equal(xs[:, j], xs[:, i]) for i in live if i < j)
+        ]
+        assert duplicate  # the flag and its square
+        distinct = [j for j in live if j not in duplicate]
+        assert np.linalg.cond(gram[np.ix_(distinct, distinct)]) >= 1e3
+        grid = default_lambda_grid(features, y)[::10]
+        path = _lasso_path(xs, yc, grid)
+        reference = slow_lasso_path(xs, yc, grid)
+        for beta, ref, lam in zip(path, reference, grid):
+            assert kkt_violation(gram, corr, beta, lam) <= 1e-8
+            obj = _objective(beta, gram @ beta, corr, y2, lam)
+            ref_obj = _objective(ref, gram @ ref, corr, y2, lam)
+            assert obj <= ref_obj + 1e-10 * max(1.0, abs(ref_obj))
+            fit, ref_fit = xs @ beta, xs @ ref
+            assert np.linalg.norm(fit - ref_fit) <= 1e-6 * np.linalg.norm(ref_fit)
+
+    def test_rejected_sign_pattern_leaves_exact_zero(self, monkeypatch):
+        # correlated columns: column 1 is active at grid[20] and leaves at grid[21]
+        rng = np.random.default_rng(183)
+        base = rng.normal(size=(30, 1))
+        x = 0.95 * base + 0.3 * rng.normal(size=(30, 6))
+        y = x @ rng.normal(size=6) + 0.5 * rng.normal(size=30)
+        xs, _, _ = _standardize(x)
+        yc = y - y.mean()
+        gram, corr, _ = lasso_parts(xs, yc)
+        grid = default_lambda_grid(x, y)[20:22]
+
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            result = lstsq(a, b, rcond=rcond)
+            solves.append(result[0])
+            return result
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        warm = _lasso_path(xs, yc, grid[:1])[0]
+        first_step_solves = len(solves)
+        solves.clear()
+        path = _lasso_path(xs, yc, grid)
+        second_step = solves[first_step_solves:]
+
+        on = warm != 0.0
+        assert on[1] and path[1][1] == 0.0
+        np.testing.assert_array_equal(path[0], warm)
+        # the first exact solve keeps the warm-start support and flips a sign
+        assert len(second_step) >= 2 and len(second_step[0]) == on.sum()
+        assert np.any(np.sign(second_step[0]) != np.sign(warm[on]))
+        assert kkt_violation(gram, corr, path[1], grid[1]) <= outcome_models.KKT_TOL
+        # the support is the warm start's less column 1; every other entry is exactly 0.0
+        np.testing.assert_array_equal(path[1] != 0.0, on & (np.arange(6) != 1))
+
+    def test_exact_solve_checks(self):
+        # column 2 is column 0 plus column 1, so with all three positive the
+        # support equations have no exact solution and least squares misses KKT
+        rng = np.random.default_rng(39)
+        a, d = rng.normal(size=50), rng.normal(size=50)
+        x = np.column_stack([a, d, a + d, rng.normal(size=50)])
+        y = a + d + 0.3 * rng.normal(size=50)
+        xs, _, _ = _standardize(x)
+        yc = y - y.mean()
+        gram, corr, y2 = lasso_parts(xs, yc)
+        lam = 0.05
+        dependent = np.array([1.0, 1.0, 1.0, 0.0])
+        assert _exact_on_support(gram, corr, y2, lam, dependent, np.inf) is None
+
+        beta = _lasso_path(xs, yc, np.array([lam]))[0]
+        signs = np.sign(beta)
+        best = _objective(beta, gram @ beta, corr, y2, lam)
+        exact = _exact_on_support(gram, corr, y2, lam, signs, best)
+        assert exact is not None and np.all(exact[signs == 0.0] == 0.0)
+        assert kkt_violation(gram, corr, exact, lam) <= outcome_models.KKT_TOL
+        # a ceiling below the optimum rejects even the verified solution
+        assert _exact_on_support(gram, corr, y2, lam, signs, best - 1e-6) is None
+
+    def test_unconverged_step_warns(self, monkeypatch):
+        features, y = earnings_design(0)
+        xs, _, _ = _standardize(features)
+        monkeypatch.setattr(outcome_models, "CD_MAX_CYCLES", 1)
+        with pytest.warns(
+            RuntimeWarning,
+            match=r"lasso penalty step \d+ \(lambda=[0-9.e+-]+\) did not converge in 1 "
+            r"cycles; last max coefficient change [0-9.e+-]+",
+        ):
+            path = _lasso_path(xs, y - y.mean(), default_lambda_grid(features, y)[::10])
+        assert path.shape == (10, features.shape[1]) and np.all(np.isfinite(path))
+
+    def test_well_conditioned_fit_is_silent(self):
+        rng = np.random.default_rng(38)
+        x = rng.normal(size=(80, 3))
+        y = x @ np.array([1.0, -0.5, 0.0]) + rng.normal(size=80)
+        data = ObservationalDataset(
+            x=x, w=np.array([0, 1] * 40), y=y, feature_names=("a", "b", "c")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_lasso_per_arm(data, folds=4, seed=3)
