@@ -6,12 +6,17 @@ leaves carry actions in {0, 1}. Evaluation goes left iff x_feature <= threshold.
 
 The search maximizes sum_i (2 pi(x_i) - 1) gamma_i over every tree whose
 thresholds come from the per-feature candidate set (midpoints of consecutive
-sorted distinct values plus -inf/+inf sentinels). It is exact: the depth-2
-problem decomposes into a root scan times two independent depth-1 subproblems,
-each solved with prefix sums of gamma over a presorted order. Ties are broken
-by a fixed scan order (feature ascending, threshold ascending, left subtree
-before right), and a leaf takes action 1 iff its gamma sum is strictly
-positive, so results are fully deterministic.
+sorted distinct values plus -inf/+inf sentinels). It is exact. Depth 1 is one
+prefix-sum scan of gamma per feature over a presorted order. At depth 2 the
+best child stump on either side of every root split is read off 2-D prefix
+sums of gamma over (root threshold, child threshold) pairs, built in blocks of
+root thresholds under a fixed byte budget, in O(p^2 n^2) time. The roots that
+score within a rounding tolerance of the best are then re-scored by the
+depth-1 scan on each side, so the result is the same floating-point optimum,
+bit for bit, as solving both depth-1 subproblems of every root. Ties are
+broken by a fixed scan order (feature ascending, threshold ascending, left
+subtree before right), and a leaf takes action 1 iff its gamma sum is
+strictly positive, so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
 
 MAX_DEPTH = 2
 CORRECTIONS = ("none", "ols", "lasso")
+_BLOCK_BYTES = 1 << 20  # budget for one block of the depth-2 scan's prefix-sum rows
 # Characters str.splitlines breaks on, escaped in split labels so each split
 # stays on one line of to_text; the names: line keeps the exact names.
 _LINE_BREAKS = str.maketrans(
@@ -311,6 +317,63 @@ def _best_stump(per_feature: list, mask: np.ndarray | None) -> _Stump:
     return best
 
 
+def _best_children(sums: np.ndarray) -> np.ndarray:
+    """Per row, the best stump objective max_r |a_r| + |L - a_r| on a_r = sums[:, r].
+
+    The last column is the row total L, and |a| + |L - a| = max(|L|, |2a - L|).
+    """
+    total = sums[:, -1]
+    return np.maximum(
+        np.abs(total),
+        np.maximum(2.0 * sums.max(axis=1) - total, total - 2.0 * sums.min(axis=1)),
+    )
+
+
+def _root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndarray:
+    """Depth-2 objective of every root split, features then thresholds ascending.
+
+    A unit's position on feature f is a_f = the first candidate index t with
+    x_f <= cands_f[t], so it goes left of threshold t iff a_f <= t. For each
+    root feature f and child feature g, S[t, r] sums gamma over a_f <= t and
+    a_g <= r; the left child's sums on g are the row S[t, :] and the right
+    child's the row S[-1, :] - S[t, :]. S is built a block of root
+    thresholds at a time under _BLOCK_BYTES, carrying its last row forward.
+    """
+    positions, col_sums = [], []
+    for feature, _, _, _, cands in per_feature:
+        a = np.searchsorted(cands, x[:, feature], side="left")
+        positions.append(a)
+        col_sums.append(np.cumsum(np.bincount(a, weights=gamma, minlength=len(cands))))
+    scores = []
+    for (_, order, _, _, cands), a_f in zip(per_feature, positions):
+        a_sorted = a_f[order]  # nondecreasing, so each block's units are one slice
+        left_best = np.full(len(cands), -np.inf)
+        right_best = np.full(len(cands), -np.inf)
+        for a_g, col_sum in zip(positions, col_sums):
+            width = len(col_sum)
+            rows = max(1, _BLOCK_BYTES // (8 * width))
+            carry = np.zeros(width)
+            for t0 in range(0, len(cands), rows):
+                t1 = min(t0 + rows, len(cands))
+                lo, hi = np.searchsorted(a_sorted, (t0, t1))
+                units = order[lo:hi]
+                sums = np.bincount(
+                    (a_f[units] - t0) * width + a_g[units],
+                    weights=gamma[units],
+                    minlength=(t1 - t0) * width,
+                )  # integer zeros when the block holds no unit
+                sums = sums.astype(float, copy=False).reshape(t1 - t0, width)
+                np.cumsum(sums, axis=1, out=sums)
+                sums[0] += carry
+                np.cumsum(sums, axis=0, out=sums)
+                carry = sums[-1].copy()
+                np.maximum(left_best[t0:t1], _best_children(sums), out=left_best[t0:t1])
+                np.subtract(col_sum, sums, out=sums)
+                np.maximum(right_best[t0:t1], _best_children(sums), out=right_best[t0:t1])
+        scores.append(left_best + right_best)
+    return np.concatenate(scores)
+
+
 def search_tree(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -360,18 +423,29 @@ def search_tree(
             eligible_features=eligible,
         )
 
+    # Prefix sums add gamma in another order than _best_stump, so every root
+    # scoring within tol of the best (far above that rounding, about
+    # n * eps * sum|gamma|) is re-scored by the masked scan, in scan order.
+    scores = _root_scores(x, gamma, per_feature)
+    tol = 1e-9 * float(np.sum(np.abs(gamma)))
+    near = np.flatnonzero(scores >= np.max(scores) - tol)
+    # Largest prefix-sum score among the near-ties from each one onward.
+    remaining = np.maximum.accumulate(scores[near][::-1])[::-1]
+    root_features = np.concatenate([np.full(len(cands), f) for f, _, _, _, cands in per_feature])
+    root_thresholds = np.concatenate([cands for _, _, _, _, cands in per_feature])
     best_objective = -np.inf
-    best = None
-    for feature, _, _, _, cands in per_feature:
-        column = x[:, feature]
-        for threshold in cands:
-            mask = column <= threshold
-            left = _best_stump(per_feature, mask)
-            right = _best_stump(per_feature, ~mask)
-            objective = left.objective + right.objective
-            if objective > best_objective:
-                best_objective = objective
-                best = (feature, float(threshold), left, right)
+    for k, root in enumerate(near):
+        feature, threshold = int(root_features[root]), float(root_thresholds[root])
+        mask = x[:, feature] <= threshold
+        left = _best_stump(per_feature, mask)
+        right = _best_stump(per_feature, ~mask)
+        objective = left.objective + right.objective
+        if objective > best_objective:
+            best_objective = objective
+            best = (feature, threshold, left, right)
+        # No later root can beat the best strictly once it clears their scores.
+        if k + 1 < len(near) and best_objective >= remaining[k + 1] + tol:
+            break
 
     feature, threshold, left, right = best
     return TreePolicy(

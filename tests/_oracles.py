@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's vectorized code paths:
 matching does a per-unit full sort over explicitly evaluated quadratic forms,
 the matching-ATE oracle walks the textbook formula term by term, the tree
-oracle enumerates every candidate tree with plain masking and Python sums, and
+oracle enumerates every candidate tree with plain masking and Python sums, the
+masked root search re-solves both depth-1 children of every root split, and
 the lasso oracle runs plain cyclic coordinate descent to its tolerance.
 Slow on purpose; correctness reference only.
 """
@@ -218,3 +219,68 @@ def slow_lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.n
                 break
         out[step] = beta
     return out
+
+
+def _masked_best_stump(per_feature: list, mask: np.ndarray) -> tuple:
+    """Depth-1 scan of the masked units: (objective, feature, threshold, left sum, total)."""
+    best = None
+    for feature, order, xs, g_ord, cands in per_feature:
+        keep = mask[order]
+        xs = xs[keep]
+        g_ord = g_ord[keep]
+        prefix = np.concatenate(([0.0], np.cumsum(g_ord)))
+        left = prefix[np.searchsorted(xs, cands, side="right")]
+        total = prefix[-1]
+        objective = np.abs(left) + np.abs(total - left)
+        j = int(np.argmax(objective))
+        if best is None or objective[j] > best[0]:
+            best = (float(objective[j]), feature, float(cands[j]), left[j], total)
+    return best
+
+
+def masked_root_search(
+    x: np.ndarray, gamma: np.ndarray, eligible_features: tuple[int, ...] | None = None
+) -> TreePolicy:
+    """Depth-2 search by a loop over every root threshold and two masked stump scans.
+
+    The same floating-point sums, in the same order, as the library's
+    depth-1 scan, so its trees are bitwise the ones a faster exact depth-2
+    search must return. Ties go to the first root in (feature, threshold)
+    order; a leaf takes action 1 iff its gamma sum is strictly positive.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    gamma = np.asarray(gamma, dtype=float)
+    if eligible_features is None:
+        eligible = tuple(range(x.shape[1]))
+    else:
+        eligible = tuple(sorted({int(f) for f in eligible_features}))
+    per_feature = []
+    for feature in eligible:
+        order = np.argsort(x[:, feature], kind="stable")
+        xs = x[order, feature]
+        distinct = np.unique(xs)
+        cands = np.concatenate(([-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]))
+        per_feature.append((feature, order, xs, gamma[order], cands))
+
+    best_objective = -np.inf
+    best = None
+    for feature, _, _, _, cands in per_feature:
+        column = x[:, feature]
+        for threshold in cands:
+            mask = column <= threshold
+            left = _masked_best_stump(per_feature, mask)
+            right = _masked_best_stump(per_feature, ~mask)
+            objective = left[0] + right[0]
+            if objective > best_objective:
+                best_objective = objective
+                best = (feature, float(threshold), left, right)
+
+    feature, threshold, left, right = best
+    leaf_sums = (left[3], left[4] - left[3], right[3], right[4] - right[3])
+    return TreePolicy(
+        depth=2,
+        features=np.array([feature, left[1], right[1]]),
+        thresholds=np.array([threshold, left[2], right[2]]),
+        leaf_actions=np.array([_leaf(total)[0] for total in leaf_sums]),
+        eligible_features=eligible,
+    )

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +21,18 @@ from mbpolicy import (
     match_units,
     search_tree,
 )
+from mbpolicy import policytree
 
-from _oracles import random_dataset, slow_tree_search, tree_objective
+from _oracles import masked_root_search, random_dataset, slow_tree_search, tree_objective
+
+
+def nsw_covariates():
+    """The eight covariate columns of the benchmark's study-shaped file (seed 0)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "nsw_shaped.py"
+    spec = importlib.util.spec_from_file_location("nsw_shaped", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate_rows(0)[:, 1:9]
 
 
 def stump(feature, threshold, left, right, p=2):
@@ -329,6 +342,82 @@ class TestSearchTree:
     def test_single_row(self):
         tree = search_tree(np.array([[5.0]]), np.array([3.0]), depth=1)
         np.testing.assert_array_equal(evaluate_policy(tree, np.array([[5.0]])), [1])
+
+
+class TestDepthTwoPrefixSums:
+    def test_bitwise_equal_to_masked_root_search(self):
+        # float scores that tie in exact arithmetic (0.1 + 0.2 vs 0.3) make
+        # near-ties whose winner depends on the order of the additions
+        rng = np.random.default_rng(69)
+        nsw = nsw_covariates()
+        for trial in range(210):
+            n = int(rng.integers(1, 401))
+            p = int(rng.integers(1, 5))
+            if trial % 3 == 0:
+                x = rng.normal(size=(n, p))
+            elif trial % 3 == 1:
+                x = np.round(rng.normal(size=(n, p)) * 2.0) / 2.0
+            else:
+                columns = rng.choice(nsw.shape[1], size=p, replace=False)
+                x = nsw[rng.choice(nsw.shape[0], size=n, replace=False)][:, columns]
+            kind = (trial // 3) % 4
+            if kind == 0:
+                gamma = rng.normal(size=n)
+            elif kind == 1:
+                gamma = 1e4 * rng.normal(size=n)
+            elif kind == 2:
+                gamma = rng.integers(-9, 10, size=n).astype(float)
+            else:
+                gamma = rng.choice([0.1, 0.2, 0.3], size=n) * rng.choice([-1.0, 1.0], size=n)
+            eligible = None
+            if trial % 5 == 4 and p > 1:
+                eligible = tuple(rng.choice(p, size=p - 1, replace=False).tolist())
+            assert search_tree(x, gamma, 2, eligible) == masked_root_search(x, gamma, eligible)
+
+    def test_one_row_blocks_are_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        x = np.round(rng.normal(size=(300, 3)) * 2.0)  # many tied values
+        gamma = rng.normal(size=300)
+        # the scores read only each row's feature, sort order and candidates
+        per_feature = [
+            (f, np.argsort(x[:, f], kind="stable"), None, None, policytree._split_candidates(x[:, f]))
+            for f in range(3)
+        ]
+        whole_scores = policytree._root_scores(x, gamma, per_feature)
+        whole = search_tree(x, gamma, 2)
+        monkeypatch.setattr(policytree, "_BLOCK_BYTES", 1)
+        assert policytree._root_scores(x, gamma, per_feature).tobytes() == whole_scores.tobytes()
+        assert search_tree(x, gamma, 2) == whole == masked_root_search(x, gamma)
+
+    def test_memory_stays_within_the_block_budget(self):
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(3000, 4))
+        gamma = rng.normal(size=3000)
+        tracemalloc.start()
+        try:
+            search_tree(x, gamma, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one unblocked 3001 x 3001 prefix-sum array alone would be 72 MB
+        assert peak < 16 * 2**20
+
+    def test_all_zero_scores_rescore_only_the_first_root(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        x = rng.normal(size=(500, 4))
+        gamma = np.zeros(500)
+        calls = []
+        best_stump = policytree._best_stump
+
+        def counted(per_feature, mask):
+            calls.append(mask)
+            return best_stump(per_feature, mask)
+
+        monkeypatch.setattr(policytree, "_best_stump", counted)
+        tree = search_tree(x, gamma, 2)
+        assert len(calls) == 2  # the left and right child of root (0, -inf)
+        assert not calls[0].any() and calls[1].all()
+        assert tree == masked_root_search(x, gamma)
 
 
 class TestLearnPolicy:
