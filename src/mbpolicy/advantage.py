@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import ObservationalDataset
-from .matching import ImputedPotentialOutcomes, MatchResult, k_pi_counts
+from .dataset import ObservationalDataset, _check_assignments, _freeze
+from .matching import ImputedPotentialOutcomes, MatchResult, _check_fresh, k_pi_counts
 from .outcome_models import OutcomeModel, predict_matrix
 
 __all__ = [
@@ -69,16 +69,13 @@ class AipwScores:
     n_clipped: int
 
     def __post_init__(self) -> None:
-        gamma = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
-        e_hat = np.ascontiguousarray(np.asarray(self.e_hat, dtype=float))
+        gamma = np.asarray(self.gamma, dtype=float)
+        e_hat = np.asarray(self.e_hat, dtype=float)
         if gamma.shape != e_hat.shape or gamma.ndim != 1:
             raise ValueError("gamma and e_hat must be equal-length vectors")
         if not np.all(np.isfinite(gamma)):
             raise ValueError("AIPW scores must be finite")
-        gamma.setflags(write=False)
-        e_hat.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "e_hat", e_hat)
+        _freeze(self, gamma=gamma, e_hat=e_hat)
 
     @property
     def n(self) -> int:
@@ -87,13 +84,7 @@ class AipwScores:
 
 def _signed(assignments: np.ndarray, n: int) -> np.ndarray:
     """Validate a 0/1 assignment vector and return 2*pi - 1 as floats."""
-    assignments = np.asarray(assignments)
-    if assignments.shape != (n,):
-        raise ValueError(f"assignments has shape {assignments.shape}, expected ({n},)")
-    values = np.unique(assignments)
-    if not np.all(np.isin(values, (0, 1))):
-        raise ValueError("assignments must contain only 0 and 1")
-    return 2.0 * assignments.astype(float) - 1.0
+    return 2.0 * _check_assignments(assignments, n).astype(float) - 1.0
 
 
 def _mu_matrix(
@@ -128,8 +119,7 @@ def advantage_linear_form(
     estimator's stability properties visible.
     """
     signs = _signed(assignments, data.n)
-    if matches.n != data.n:
-        raise ValueError("matches and data have different lengths")
+    _check_fresh(data, matches)
     k_pi = k_pi_counts(matches, assignments)
     w_signs = 2.0 * data.w.astype(float) - 1.0
     weights = signs + k_pi.astype(float) / matches.m
@@ -151,8 +141,7 @@ def decompose_advantage(
     with eps_i = Y_i - mu(X_i, W_i); total = a_bar + e_m + b_m.
     """
     signs = _signed(assignments, data.n)
-    if matches.n != data.n:
-        raise ValueError("matches and data have different lengths")
+    _check_fresh(data, matches)
     mu0 = _mu_matrix(true_mu, data.x, 0)
     mu1 = _mu_matrix(true_mu, data.x, 1)
     w = data.w
@@ -188,8 +177,7 @@ def estimate_conditional_bias(
     bias-corrected estimate.
     """
     signs = _signed(assignments, data.n)
-    if matches.n != data.n:
-        raise ValueError("matches and data have different lengths")
+    _check_fresh(data, matches)
     w_signs = 2.0 * data.w.astype(float) - 1.0
     mu_hat_0 = predict_matrix(model, data.x, 0)
     mu_hat_1 = predict_matrix(model, data.x, 1)

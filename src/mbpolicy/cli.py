@@ -21,7 +21,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .dataset import CsvSchema, load_csv, normalized_differences, write_csv
+from .dataset import CsvSchema, _read_header, load_csv, normalized_differences, write_csv
 from .evaluation import (
     aipw_value_estimate,
     arm_proportion_propensity,
@@ -123,9 +123,7 @@ def _load_dataset(args: argparse.Namespace):
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValueError(f"{path}: empty file, expected a header row")
+        header = _read_header(csv.reader(fh), path)
     if args.covariates:
         covariates = _split_csv_flag(args.covariates)
     else:
@@ -139,6 +137,15 @@ def _load_dataset(args: argparse.Namespace):
     if args.exclude:
         data = data.excluding_from_policy(_split_csv_flag(args.exclude))
     return data, path
+
+
+def _data_parameters(args: argparse.Namespace, data) -> dict:
+    """Manifest entries for the data flags shared by learn, evaluate and balance."""
+    return {
+        "treatment_col": args.treatment_col,
+        "outcome_col": args.outcome_col,
+        "covariates": list(data.feature_names),
+    }
 
 
 def _resolve_policy(spec: str, feature_names: tuple[str, ...]) -> TreePolicy:
@@ -269,9 +276,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             "depth": args.depth,
             "lasso_folds": args.lasso_folds,
             "seed": args.seed,
-            "treatment_col": args.treatment_col,
-            "outcome_col": args.outcome_col,
-            "covariates": list(data.feature_names),
+            **_data_parameters(args, data),
             "excluded_from_policy": sorted(
                 set(data.feature_names)
                 - {data.feature_names[j] for j in data.eligible_feature_indices()}
@@ -305,9 +310,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     parameters = {
         "propensity": args.propensity,
         "seed": args.seed,
-        "treatment_col": args.treatment_col,
-        "outcome_col": args.outcome_col,
-        "covariates": list(data.feature_names),
+        **_data_parameters(args, data),
     }
     if args.cv:
         parameters.update(cv=True, method=args.method, folds=args.folds,
@@ -358,16 +361,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_balance(args: argparse.Namespace) -> int:
     data, path = _load_dataset(args)
     out = _out_dir(args)
-    _write_manifest(
-        out,
-        "balance",
-        {
-            "treatment_col": args.treatment_col,
-            "outcome_col": args.outcome_col,
-            "covariates": list(data.feature_names),
-        },
-        inputs={"data": path},
-    )
+    _write_manifest(out, "balance", _data_parameters(args, data), inputs={"data": path})
     report = normalized_differences(data)
     report.to_csv(out / "balance.csv")
     _write_checksums(out, ["balance.csv"])

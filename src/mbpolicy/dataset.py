@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,28 @@ __all__ = [
     "concat_datasets",
     "write_csv",
 ]
+
+
+def _freeze(obj: object, **fields: object) -> None:
+    """Set fields on a frozen dataclass; arrays are stored C-contiguous and read-only.
+
+    An array numpy can use as-is is stored without a copy.
+    """
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
+def _check_assignments(assignments: np.ndarray, n: int) -> np.ndarray:
+    """Return assignments as an array, checked to be a length-n vector of 0s and 1s."""
+    assignments = np.asarray(assignments)
+    if assignments.shape != (n,):
+        raise ValueError(f"assignments has shape {assignments.shape}, expected ({n},)")
+    if not np.all((assignments == 0) | (assignments == 1)):
+        raise ValueError("assignments must contain only 0 and 1")
+    return assignments
 
 
 @dataclass(frozen=True)
@@ -41,7 +63,7 @@ class ObservationalDataset:
     policy_eligible: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
         w = np.asarray(self.w)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 2:
@@ -69,15 +91,9 @@ class ObservationalDataset:
         eligible = tuple(self.policy_eligible) if self.policy_eligible else (True,) * p
         if len(eligible) != p:
             raise ValueError(f"policy_eligible has length {len(eligible)}, expected {p}")
-        wi = np.ascontiguousarray(wf.astype(np.int64))
-        y = np.ascontiguousarray(y)
-        for arr in (x, wi, y):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", wi)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "policy_eligible", eligible)
+        _freeze(
+            self, x=x, w=wf.astype(np.int64), y=y, feature_names=names, policy_eligible=eligible
+        )
 
     @property
     def n(self) -> int:
@@ -151,7 +167,7 @@ class CsvSchema:
         roles = [self.treatment, self.outcome, *cov]
         if len(set(roles)) != len(roles):
             raise ValueError("schema assigns one column to multiple roles")
-        object.__setattr__(self, "covariates", cov)
+        _freeze(self, covariates=cov)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -167,6 +183,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
+def _read_header(reader: Iterator[list[str]], path: Path) -> list[str]:
+    """The first CSV row, names stripped of surrounding whitespace."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    return [name.strip() for name in header]
+
+
 def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
     """Load a UTF-8, comma-delimited, headered CSV into a dataset.
 
@@ -178,11 +202,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader, path)
         col_of = {name: idx for idx, name in enumerate(header)}
         needed = [schema.treatment, schema.outcome, *schema.covariates]
         missing = [name for name in needed if name not in col_of]

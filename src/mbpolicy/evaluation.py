@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .advantage import _mu_matrix
-from .dataset import ObservationalDataset, write_csv
+from .dataset import ObservationalDataset, _check_assignments, _freeze, write_csv
 from .outcome_models import _standardize, fit_ols_per_arm, predict_matrix
 from .policytree import TreePolicy, evaluate_policy
 from .seeding import derive_seed, philox_rng
@@ -63,13 +63,8 @@ def fit_linear_probability(
     return np.clip(design @ coef, *LINPROB_CLIP)
 
 
-def _propensity_vector(
-    data: ObservationalDataset, e_hat: object
-) -> np.ndarray:
-    if callable(e_hat):
-        e = np.asarray(e_hat(data.x), dtype=float)
-    else:
-        e = np.asarray(e_hat, dtype=float)
+def _propensity_vector(data: ObservationalDataset, e_hat: np.ndarray) -> np.ndarray:
+    e = np.asarray(e_hat, dtype=float)
     if e.shape != (data.n,):
         raise ValueError(f"propensities have shape {e.shape}, expected ({data.n},)")
     if np.any(~np.isfinite(e)) or np.any(e < 0.0) or np.any(e > 1.0):
@@ -80,24 +75,16 @@ def _propensity_vector(
 def aipw_value_estimate(
     data: ObservationalDataset,
     assignments: np.ndarray,
-    e_hat: object,
+    e_hat: np.ndarray,
     mu_hat: Callable[[np.ndarray, int], object],
 ) -> float:
     """Doubly robust estimate of the mean outcome under the given assignments.
 
-    e_hat is the treatment probability P(W=1 | X), as a per-unit vector or a
-    callable on the covariate matrix; the assigned-arm probability is derived
-    from it and clipped at VALUE_CLIP.
+    e_hat is the per-unit treatment probability P(W=1 | X); the assigned-arm
+    probability is derived from it and clipped at VALUE_CLIP.
     """
-    assignments = np.asarray(assignments)
-    if assignments.shape != (data.n,):
-        raise ValueError(
-            f"assignments has shape {assignments.shape}, expected ({data.n},)"
-        )
-    if not np.all(np.isin(np.unique(assignments), (0, 1))):
-        raise ValueError("assignments must contain only 0 and 1")
+    pi = _check_assignments(assignments, data.n).astype(np.int64)
     e_treat = np.clip(_propensity_vector(data, e_hat), VALUE_CLIP, 1.0 - VALUE_CLIP)
-    pi = assignments.astype(np.int64)
     e_assigned = np.where(pi == 1, e_treat, 1.0 - e_treat)
     mu0 = _mu_matrix(mu_hat, data.x, 0)
     mu1 = _mu_matrix(mu_hat, data.x, 1)
@@ -130,11 +117,10 @@ class CrossValReport:
     failures: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
         if values.shape != (self.repeats,):
             raise ValueError(f"expected {self.repeats} per-repeat values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, values=values)
 
     @property
     def n_failed_repeats(self) -> int:
@@ -150,7 +136,7 @@ def cross_validate(
     folds: int = 5,
     repeats: int = 100,
     seed: int = 0,
-    e_hat: object | None = None,
+    e_hat: np.ndarray | None = None,
     mu_hat: Callable[[np.ndarray, int], object] | None = None,
 ) -> CrossValReport:
     """Repeatedly split, learn on the training folds, value the held-out fold.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ObservationalDataset, write_csv
+from .dataset import ObservationalDataset, _check_assignments, _freeze, write_csv
 from .metric import MahalanobisMetric
 from .outcome_models import OutcomeModel, predict_matrix
 
@@ -39,17 +39,13 @@ class MatchResult:
     k_counts: np.ndarray       # (n,) number of times each unit appears in a matched set
 
     def __post_init__(self) -> None:
-        sets = np.ascontiguousarray(np.asarray(self.matched_sets, dtype=np.int64))
-        dists = np.ascontiguousarray(np.asarray(self.distances, dtype=float))
-        counts = np.ascontiguousarray(np.asarray(self.k_counts, dtype=np.int64))
+        sets = np.asarray(self.matched_sets, dtype=np.int64)
+        dists = np.asarray(self.distances, dtype=float)
+        counts = np.asarray(self.k_counts, dtype=np.int64)
         n = sets.shape[0]
         if sets.shape != (n, self.m) or dists.shape != (n, self.m) or counts.shape != (n,):
             raise ValueError("inconsistent MatchResult array shapes")
-        for arr in (sets, dists, counts):
-            arr.setflags(write=False)
-        object.__setattr__(self, "matched_sets", sets)
-        object.__setattr__(self, "distances", dists)
-        object.__setattr__(self, "k_counts", counts)
+        _freeze(self, matched_sets=sets, distances=dists, k_counts=counts)
 
     @property
     def n(self) -> int:
@@ -77,16 +73,12 @@ class ImputedPotentialOutcomes:
     def __post_init__(self) -> None:
         if self.variant not in ("raw", "bias_corrected"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        y0 = np.ascontiguousarray(np.asarray(self.y0, dtype=float))
-        y1 = np.ascontiguousarray(np.asarray(self.y1, dtype=float))
-        gamma = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
+        y0 = np.asarray(self.y0, dtype=float)
+        y1 = np.asarray(self.y1, dtype=float)
+        gamma = np.asarray(self.gamma, dtype=float)
         if not (y0.shape == y1.shape == gamma.shape) or y0.ndim != 1:
             raise ValueError("y0, y1, gamma must be equal-length vectors")
-        for arr in (y0, y1, gamma):
-            arr.setflags(write=False)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "gamma", gamma)
+        _freeze(self, y0=y0, y1=y1, gamma=gamma)
 
     @property
     def n(self) -> int:
@@ -176,12 +168,7 @@ def impute_bias_corrected(
 
 def k_pi_counts(matches: MatchResult, assignments: np.ndarray) -> np.ndarray:
     """Signed match-usage counts K_M(pi, i) = sum over j with i in J_M(j) of (2 pi(X_j) - 1)."""
-    assignments = np.asarray(assignments)
-    if assignments.shape != (matches.n,):
-        raise ValueError(
-            f"assignments has shape {assignments.shape}, expected ({matches.n},)"
-        )
-    signs = 2 * assignments.astype(np.int64) - 1
+    signs = 2 * _check_assignments(assignments, matches.n).astype(np.int64) - 1
     out = np.zeros(matches.n, dtype=np.int64)
     np.add.at(out, matches.matched_sets.ravel(), np.repeat(signs, matches.m))
     return out

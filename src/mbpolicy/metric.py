@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _freeze
+
 __all__ = ["MahalanobisMetric", "fit_mahalanobis", "distance"]
 
 # Ridge schedule: start at 1e-10 * trace/p, multiply by 10 up to 1e-2 * trace/p.
@@ -27,11 +29,10 @@ class MahalanobisMetric:
     ridge: float
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(np.asarray(self.v, dtype=float))
+        v = np.asarray(self.v, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"v must be square, got shape {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        _freeze(self, v=v)
 
     @property
     def p(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, _freeze
 
 __all__ = [
     "OutcomeModel",
@@ -75,12 +75,11 @@ class OutcomeModel:
     lambda1: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("coef0", "coef1"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.coef0.ndim != 1 or self.coef0.shape != self.coef1.shape:
+        coef0 = np.asarray(self.coef0, dtype=float)
+        coef1 = np.asarray(self.coef1, dtype=float)
+        if coef0.ndim != 1 or coef0.shape != coef1.shape:
             raise ValueError("coef0 and coef1 must be vectors of equal length")
+        _freeze(self, coef0=coef0, coef1=coef1)
 
     @property
     def n_expanded(self) -> int:

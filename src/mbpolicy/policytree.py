@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, _freeze
 from .matching import ImputedPotentialOutcomes, impute_bias_corrected, impute_raw, match_units
 from .metric import fit_mahalanobis
 from .outcome_models import fit_lasso_per_arm, fit_ols_per_arm
@@ -75,9 +75,9 @@ class TreePolicy:
         if self.depth not in range(1, MAX_DEPTH + 1):
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
         n_internal = 2**self.depth - 1
-        features = np.ascontiguousarray(np.asarray(self.features, dtype=np.int64))
-        thresholds = np.ascontiguousarray(np.asarray(self.thresholds, dtype=float))
-        leaves = np.ascontiguousarray(np.asarray(self.leaf_actions, dtype=np.int64))
+        features = np.asarray(self.features, dtype=np.int64)
+        thresholds = np.asarray(self.thresholds, dtype=float)
+        leaves = np.asarray(self.leaf_actions, dtype=np.int64)
         if features.shape != (n_internal,) or thresholds.shape != (n_internal,):
             raise ValueError(f"expected {n_internal} internal nodes for depth {self.depth}")
         if leaves.shape != (n_internal + 1,):
@@ -98,13 +98,10 @@ class TreePolicy:
             names = tuple(str(s) for s in names)
             if len(names) <= max(eligible):
                 raise ValueError("feature_names too short for eligible_features")
-        for arr in (features, thresholds, leaves):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "leaf_actions", leaves)
-        object.__setattr__(self, "eligible_features", eligible)
-        object.__setattr__(self, "feature_names", names)
+        _freeze(
+            self, features=features, thresholds=thresholds, leaf_actions=leaves,
+            eligible_features=eligible, feature_names=names,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePolicy):
@@ -396,6 +393,11 @@ def search_tree(
         raise ValueError(f"gamma has shape {gamma.shape}, expected ({n},)")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(gamma))):
         raise ValueError("x and gamma must be finite")
+    with np.errstate(over="ignore"):
+        # bounds every sum and objective the scans form, such as 2a - L
+        bounded = np.isfinite(4.0 * np.abs(gamma).sum())
+    if not bounded:
+        raise ValueError("gamma is too large: 4 * sum(|gamma|) overflows")
     if depth not in range(1, MAX_DEPTH + 1):
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     if eligible_features is None:

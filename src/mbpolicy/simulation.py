@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .advantage import aipw_scores
-from .dataset import ObservationalDataset, write_csv
+from .dataset import ObservationalDataset, _check_assignments, _freeze, write_csv
 from .evaluation import fit_linear_probability
 from .outcome_models import fit_ols_per_arm, predict_matrix
 from .policytree import LearnConfig, TreePolicy, evaluate_policy, learn_policy, search_tree
@@ -160,14 +160,11 @@ class SimulationOracle:
     y1: np.ndarray
 
     def __post_init__(self) -> None:
-        y0 = np.ascontiguousarray(np.asarray(self.y0, dtype=float))
-        y1 = np.ascontiguousarray(np.asarray(self.y1, dtype=float))
+        y0 = np.asarray(self.y0, dtype=float)
+        y1 = np.asarray(self.y1, dtype=float)
         if y0.shape != y1.shape or y0.ndim != 1:
             raise ValueError("y0 and y1 must be equal-length vectors")
-        y0.setflags(write=False)
-        y1.setflags(write=False)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
+        _freeze(self, y0=y0, y1=y1)
 
     def optimal_rule(self, x: np.ndarray) -> np.ndarray:
         return (self.contrast(np.atleast_2d(np.asarray(x, dtype=float))) > 0).astype(
@@ -214,11 +211,7 @@ def generate(spec: SimulationSpec) -> tuple[ObservationalDataset, SimulationOrac
 
 def empirical_value(assignments: np.ndarray, oracle: SimulationOracle) -> float:
     """Mean realized outcome had each unit received its assigned arm."""
-    assignments = np.asarray(assignments)
-    if assignments.shape != oracle.y0.shape:
-        raise ValueError(
-            f"assignments has shape {assignments.shape}, expected {oracle.y0.shape}"
-        )
+    assignments = _check_assignments(assignments, oracle.y0.shape[0])
     return float(np.mean(np.where(assignments == 1, oracle.y1, oracle.y0)))
 
 

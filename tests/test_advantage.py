@@ -194,6 +194,33 @@ class TestConditionalBias:
             assert abs(corrected - (raw - bias)) <= 1e-10
 
 
+class TestStaleMatches:
+    @pytest.mark.parametrize("estimator", [
+        advantage_linear_form,
+        lambda data, matches, pi: decompose_advantage(
+            data, matches, pi, lambda x, w: np.zeros(len(x))
+        ),
+        lambda data, matches, pi: estimate_conditional_bias(
+            data, matches, pi, fit_ols_per_arm(data)
+        ),
+    ], ids=["linear_form", "decomposition", "conditional_bias"])
+    def test_matches_of_another_dataset_rejected(self, estimator):
+        rng = np.random.default_rng(58)
+        data = random_dataset(rng, 20, 2, min_arm=4)
+        matches = match_units(data, fit_mahalanobis(data.x), m=2)
+        shorter = data.subset(np.arange(19))
+        with pytest.raises(ValueError, match="stale indices"):
+            estimator(shorter, matches, np.ones(19, dtype=int))
+        # same length, but unit 0's nearest match now sits in unit 0's own arm
+        w = data.w.copy()
+        w[matches.matched_sets[0, 0]] = data.w[0]
+        flipped = ObservationalDataset(
+            x=data.x, w=w, y=data.y, feature_names=data.feature_names
+        )
+        with pytest.raises(ValueError, match="stale match"):
+            estimator(flipped, matches, np.ones(20, dtype=int))
+
+
 class TestAipwScores:
     def test_zero_residual_leaves_regression_contrast(self):
         rng = np.random.default_rng(53)

@@ -251,6 +251,26 @@ class TestBalance:
         assert "(control n=10, treated n=10)" in console
 
 
+class TestSpacedHeader:
+    """Header names are stripped, so a space after a comma names the same column."""
+
+    @pytest.mark.parametrize("command,outputs", [
+        (["balance"], ["balance.csv"]),
+        (["learn", "--correction", "none"], ["policy.txt", "policy.json", "gamma.csv"]),
+    ], ids=["balance", "learn"])
+    def test_default_covariates_match_explicit_ones(self, eval_csv, tmp_path, command, outputs):
+        header, *rows = eval_csv.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join([header.replace(",", ", "), *rows]) + "\n")
+        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+        assert main([*command, "--data", str(spaced), "--out", str(implicit)]) == 0
+        assert main([
+            *command, "--data", str(eval_csv), "--covariates", "a,b", "--out", str(explicit)
+        ]) == 0
+        for name in [*outputs, "outputs.sha256"]:
+            assert (implicit / name).read_bytes() == (explicit / name).read_bytes(), name
+
+
 class TestOutputDirEnv:
     def test_env_var_sets_default_out_dir(self, learn_csv, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

@@ -182,6 +182,12 @@ class TestImputeRaw:
 
 
 class TestKPiCounts:
+    def test_rejects_values_other_than_zero_and_one(self):
+        data = four_unit_example()
+        matches = match_units(data, fit_mahalanobis(data.x), m=1)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            k_pi_counts(matches, np.full(4, 2))
+
     def test_all_ones_recovers_usage_counts(self):
         rng = np.random.default_rng(27)
         data = random_dataset(rng, 30, 2, min_arm=4)

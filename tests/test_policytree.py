@@ -343,6 +343,17 @@ class TestSearchTree:
         tree = search_tree(np.array([[5.0]]), np.array([3.0]), depth=1)
         np.testing.assert_array_equal(evaluate_policy(tree, np.array([[5.0]])), [1])
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_scores_whose_sums_overflow_are_rejected(self, depth):
+        rng = np.random.default_rng(69)
+        x = np.round(rng.normal(size=(20, 2)), 1)
+        huge = rng.choice([-1.7e308, 1.7e308, 1e300], size=20)
+        with pytest.raises(ValueError, match="gamma"):
+            search_tree(x, huge, depth=depth)
+        # the sum is finite, but 4 * sum(|gamma|) is not
+        with pytest.raises(ValueError, match="gamma"):
+            search_tree(x[:2], np.array([6e307, 6e307]), depth=depth)
+
 
 class TestDepthTwoPrefixSums:
     def test_bitwise_equal_to_masked_root_search(self):

@@ -135,6 +135,11 @@ class TestEmpiricalValue:
         with pytest.raises(ValueError, match="shape"):
             empirical_value(np.zeros(9, dtype=int), oracle)
 
+    def test_rejects_values_other_than_zero_and_one(self):
+        _, oracle = generate(spec(n=10))
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            empirical_value(np.full(10, 2), oracle)
+
     @pytest.mark.parametrize(
         "main,contrast,target",
         [
