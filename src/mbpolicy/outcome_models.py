@@ -3,11 +3,15 @@
 Two fitting routes: ordinary least squares on (1, X), and lasso on the
 quadratic expansion (1, X, squares, pairwise interactions) along a
 warm-started descending penalty grid, the penalty chosen by seeded k-fold
-cross-validation. Each penalty step runs cyclic coordinate descent (CD) with
-soft-thresholding and tries the exact solution on the support and signs of the
-CD iterate. Its coefficients are that KKT-verified exact solution whenever one
-is found, and CD converged to CD_TOL otherwise; a step that runs out of
-CD_MAX_CYCLES issues a RuntimeWarning.
+cross-validation. Each penalty step first solves the lasso exactly on the
+support and signs of its warm start (the previous step's solution). If that
+solution is not verified, cyclic coordinate descent (CD) with soft-thresholding
+runs, and after each cycle one more sign pattern is solved: the CD iterate's
+signs when they changed, else one active-set move from the last rejected solve
+(drop the coefficient that first crosses zero, or add the worst KKT violator).
+A step's coefficients are the first KKT-verified exact solution found, and CD
+converged to CD_TOL otherwise; a step that runs out of CD_MAX_CYCLES issues a
+RuntimeWarning.
 
 CV folds are plain seeded shuffles (not treatment-stratified; fits are
 per-arm, so stratification has nothing to act on).
@@ -184,6 +188,34 @@ def _objective(
     )
 
 
+def _solve_pattern(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    y2: float,
+    lam: float,
+    signs: np.ndarray,
+    ceiling: float,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The exact solve of `_exact_on_support`: (b, gradient corr - G b, verified)."""
+    support = signs != 0.0
+    b = np.zeros(len(signs))
+    if support.any():
+        b[support] = np.linalg.lstsq(
+            gram[support][:, support], corr[support] - lam * signs[support], rcond=None
+        )[0]
+    gram_b = gram @ b
+    grad = corr - gram_b
+    tol = KKT_TOL * max(1.0, lam)
+    off = ~support & (np.diag(gram) > 0.0)
+    verified = bool(
+        np.array_equal(np.sign(b), signs)
+        and np.all(np.abs(grad[support] - lam * signs[support]) <= tol)
+        and np.all(np.abs(grad[off]) <= lam + tol)
+        and _objective(b, gram_b, corr, y2, lam) <= ceiling + 1e-10 * max(1.0, abs(ceiling))
+    )
+    return b, grad, verified
+
+
 def _exact_on_support(
     gram: np.ndarray,
     corr: np.ndarray,
@@ -200,48 +232,78 @@ def _exact_on_support(
     KKT_TOL * max(1, lam) on A and on the live columns off A, and its objective
     is at most ``ceiling`` (with the 1e-10 relative slack of the CD check).
     """
+    b, _, verified = _solve_pattern(gram, corr, y2, lam, signs, ceiling)
+    return b if verified else None
+
+
+def _moved_pattern(
+    beta: np.ndarray,
+    signs: np.ndarray,
+    b: np.ndarray,
+    grad: np.ndarray,
+    lam: float,
+    live: np.ndarray,
+) -> np.ndarray | None:
+    """One active-set move away from the rejected pattern ``signs`` with solve ``b``.
+
+    If a support coefficient of b has the wrong sign, drop the one that first
+    reaches zero on the segment from ``beta`` to b. Otherwise add the live
+    column off the support with the largest KKT breach |grad| - lam, with the
+    gradient's sign. None if neither applies.
+    """
     support = signs != 0.0
-    b = np.zeros(len(signs))
-    if support.any():
-        b[support] = np.linalg.lstsq(
-            gram[np.ix_(support, support)], corr[support] - lam * signs[support], rcond=None
-        )[0]
-    gram_b = gram @ b
-    grad = corr - gram_b
-    tol = KKT_TOL * max(1.0, lam)
-    off = ~support & (np.diag(gram) > 0.0)
-    if (
-        np.array_equal(np.sign(b), signs)
-        and np.all(np.abs(grad[support] - lam * signs[support]) <= tol)
-        and np.all(np.abs(grad[off]) <= lam + tol)
-        and _objective(b, gram_b, corr, y2, lam) <= ceiling + 1e-10 * max(1.0, abs(ceiling))
-    ):
-        return b
-    return None
+    flipped = np.flatnonzero(support & (np.sign(b) != signs))
+    moved = signs.copy()
+    if len(flipped):
+        start, end = beta[flipped], b[flipped]
+        # the fraction of the way to b where each one is zero; 0 for one that
+        # is already zero or of the wrong sign at beta
+        reach = np.zeros(len(flipped))
+        inside = start * signs[flipped] > 0.0
+        reach[inside] = start[inside] / (start[inside] - end[inside])
+        moved[flipped[np.argmin(reach)]] = 0.0
+        return moved
+    breach = np.where(live & ~support, np.abs(grad) - lam, 0.0)
+    j = int(np.argmax(breach))
+    if breach[j] <= KKT_TOL * max(1.0, lam):
+        return None
+    moved[j] = np.sign(grad[j])
+    return moved
 
 
 def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """Lasso solutions for centered data along a descending penalty grid.
 
-    Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each step warm-starts
-    Gram-cached coordinate descent; the penalized objective is asserted
-    non-increasing on every full cycle. A cycle that misses CD_TOL with a sign
-    pattern not yet tried at this step tries `_exact_on_support` with the
-    iterate's signs, and a verified solution ends the step. A step that runs
-    out of CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of
-    shape (len(lambdas), k).
+    Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each step first tries
+    `_exact_on_support` with the warm start's signs, its objective at the new
+    penalty as the ceiling; a verified solution ends the step with no CD
+    cycle. Otherwise Gram-cached coordinate descent runs, the penalized
+    objective asserted non-increasing on every full cycle, and each cycle that
+    misses CD_TOL tries one pattern: the iterate's signs if they changed since
+    the last pattern taken from CD (at first the warm start's), else
+    `_moved_pattern` of the last rejected solve. A verified solution ends the step. A step that runs out of
+    CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of shape
+    (len(lambdas), k).
     """
     n, k = xs.shape
     gram = xs.T @ xs / n
     corr = xs.T @ yc / n
     y2 = float(yc @ yc) / n
     diag = np.diag(gram).copy()
+    live = diag > 0.0
     beta = np.zeros(k)
     out = np.empty((len(lambdas), k))
     for step, lam in enumerate(lambdas):
         q = gram @ beta  # refresh to stop incremental drift accumulating across steps
+        from_cd = np.sign(beta)
+        pattern = from_cd
+        b, grad, verified = _solve_pattern(
+            gram, corr, y2, lam, pattern, _objective(beta, q, corr, y2, lam)
+        )
+        if verified:
+            out[step] = beta = b
+            continue
         prev_obj = np.inf
-        tried = None
         for _ in range(CD_MAX_CYCLES):
             max_delta = 0.0
             for j in range(k):
@@ -263,12 +325,15 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
             if max_delta < CD_TOL:
                 break
             signs = np.sign(beta)
-            if tried is not None and np.array_equal(signs, tried):
-                continue  # the same pattern gives the same answer
-            tried = signs
-            exact = _exact_on_support(gram, corr, y2, lam, signs, obj)
-            if exact is not None:
-                beta = exact
+            if not np.array_equal(signs, from_cd):
+                from_cd = pattern = signs
+            elif pattern is not None:
+                pattern = _moved_pattern(beta, pattern, b, grad, lam, live)
+            if pattern is None:
+                continue  # nothing new to try until CD's signs change
+            b, grad, verified = _solve_pattern(gram, corr, y2, lam, pattern, obj)
+            if verified:
+                beta = b
                 break
         else:
             warnings.warn(

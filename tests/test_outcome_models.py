@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from mbpolicy.outcome_models import (
     default_lambda_grid,
 )
 
-from _oracles import slow_lasso_path
+import _oracles
+from _oracles import cd_exact_lasso_path, slow_lasso_path
 
 
 def two_arm_data(x0, y0, x1, y1):
@@ -374,3 +377,111 @@ class TestLassoExactSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit_lasso_per_arm(data, folds=4, seed=3)
+
+
+def nsw_rows():
+    """Rows of the benchmark's study-shaped file (seed 0), in its HEADER order."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "nsw_shaped.py"
+    spec = importlib.util.spec_from_file_location("nsw_shaped", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate_rows(0), module.HEADER
+
+
+def gaussian_design(seed):
+    """A small correlated Gaussian design whose outcome uses a few of its columns.
+
+    Every third seed makes the last column the sum of the first two, so some
+    supports are linearly dependent.
+    """
+    rng = np.random.default_rng([184, seed])
+    n, k = int(rng.integers(25, 120)), int(rng.integers(3, 13))
+    x = rng.normal(size=(n, 1)) * rng.uniform(0.0, 1.0) + rng.normal(size=(n, k))
+    if seed % 3 == 0:
+        x[:, -1] = x[:, 0] + x[:, 1]
+    coef = np.where(rng.random(k) < 0.5, rng.normal(size=k), 0.0)
+    return x, x @ coef + rng.uniform(0.2, 2.0) * rng.normal(size=n)
+
+
+def study_arm_designs():
+    """Per-arm quadratic expansions of age, education, re74 and re75 (the study-learn fit)."""
+    rows, header = nsw_rows()
+    x = rows[:, [header.index(c) for c in ("age", "education", "re74", "re75")]]
+    treat, y = rows[:, header.index("treat")], rows[:, header.index("re78")]
+    return [(expand_features(x[treat == w], "quadratic"), y[treat == w]) for w in (0, 1)]
+
+
+class TestPatternFirstSteps:
+    """The step loop against the CD-then-exact oracle, which solves only CD's sign changes."""
+
+    DESIGNS = (
+        [("earnings", seed) for seed in range(3)]
+        + [("gaussian", seed) for seed in range(24)]
+        + [("study", arm) for arm in (0, 1)]
+    )
+
+    @pytest.mark.parametrize("kind,seed", DESIGNS)
+    def test_matches_cd_exact_oracle(self, kind, seed, monkeypatch):
+        if kind == "earnings":
+            features, y = earnings_design(seed)
+        elif kind == "gaussian":
+            features, y = gaussian_design(seed)
+        else:
+            features, y = study_arm_designs()[seed]
+        xs, _, _ = _standardize(features)
+        yc = y - y.mean()
+        gram, corr, y2 = lasso_parts(xs, yc)
+        grid = default_lambda_grid(features, y)
+
+        accepted = set()
+
+        def spy(gram, corr, y2, lam, signs, ceiling):
+            exact = _exact_on_support(gram, corr, y2, lam, signs, ceiling)
+            if exact is not None:
+                accepted.add(lam)
+            return exact
+
+        monkeypatch.setattr(_oracles, "_exact_on_support", spy)
+        reference = cd_exact_lasso_path(xs, yc, grid)
+        path = _lasso_path(xs, yc, grid)
+        assert accepted
+        for beta, ref, lam in zip(path, reference, grid):
+            if lam in accepted:
+                np.testing.assert_array_equal(beta, ref)
+                continue
+            assert kkt_violation(gram, corr, beta, lam) <= 1e-8
+            obj = _objective(beta, gram @ beta, corr, y2, lam)
+            ref_obj = _objective(ref, gram @ ref, corr, y2, lam)
+            assert obj <= ref_obj + 1e-10 * max(1.0, abs(ref_obj))
+
+    def test_warm_pattern_ends_step_without_coordinate_descent(self, monkeypatch):
+        # on a fine grid most steps keep the previous support and signs, so
+        # their first exact solve verifies and no CD cycle runs
+        features, y = study_arm_designs()[0]
+        xs, _, _ = _standardize(features)
+        grid = default_lambda_grid(features, y)
+        cd_penalties = set()
+        soft = outcome_models._soft
+
+        def recording_soft(value, threshold):
+            cd_penalties.add(threshold)
+            return soft(value, threshold)
+
+        monkeypatch.setattr(outcome_models, "_soft", recording_soft)
+        _lasso_path(xs, y - y.mean(), grid)
+        assert len(cd_penalties) < len(grid) // 2
+
+    def test_all_study_covariates_fit_silently_and_meet_kkt(self):
+        # the quadratic expansion of all eight covariates is rank-deficient
+        # (every 0/1 column equals its square); no penalty step may warn
+        rows, header = nsw_rows()
+        x, w, y = rows[:, 1:9], rows[:, 0].astype(int), rows[:, 9]
+        data = ObservationalDataset(x=x, w=w, y=y, feature_names=header[1:9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_lasso_per_arm(data)
+        for arm, coef, lam in ((0, model.coef0, model.lambda0), (1, model.coef1, model.lambda1)):
+            features = expand_features(x[w == arm], "quadratic")
+            xs, _, scales = _standardize(features)
+            gram, corr, _ = lasso_parts(xs, y[w == arm] - y[w == arm].mean())
+            assert kkt_violation(gram, corr, coef[1:] * scales, lam) <= 1e-8
