@@ -1,7 +1,8 @@
 """Cross-arm nearest-neighbor matching with replacement and potential-outcome imputation.
 
 Each unit is matched to the M nearest opposite-arm units under a supplied
-metric (exact brute-force scan, ties broken by smallest unit index). The
+metric (exact brute-force scan, ties broken by smallest unit index, the
+m nearest found by partial selection rather than a sort of every row). The
 matched sets drive two imputations of the missing potential outcome: the raw
 matched-outcome mean and a regression-adjusted (bias-corrected) variant.
 """
@@ -85,13 +86,33 @@ class ImputedPotentialOutcomes:
         return self.y0.shape[0]
 
 
+def _nearest(d2: np.ndarray, m: int) -> np.ndarray:
+    """Column indices of each row's m smallest entries: np.argsort(d2, kind="stable")[:, :m].
+
+    np.partition finds each row's m-th smallest value v. In a row where
+    exactly m entries are <= v, those m are the nearest set: they are taken in
+    ascending column order and stably sorted among themselves. A row where v
+    is tied by a later entry is stably sorted whole.
+    """
+    inside = d2 <= np.partition(d2, m - 1, axis=1)[:, m - 1 : m]
+    tied = np.count_nonzero(inside, axis=1) > m
+    order = np.empty((len(d2), m), dtype=np.intp)
+    if tied.any():
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :m]
+        d2, inside = d2[~tied], inside[~tied]
+    columns = np.nonzero(inside)[1].reshape(len(d2), m)
+    within = np.argsort(np.take_along_axis(d2, columns, axis=1), axis=1, kind="stable")
+    order[~tied] = np.take_along_axis(columns, within, axis=1)
+    return order
+
+
 def match_units(
     data: ObservationalDataset, metric: MahalanobisMetric, m: int
 ) -> MatchResult:
     """Find the m nearest opposite-arm units for every unit (with replacement).
 
-    Exact O(n^2 p) scan; ties broken by smallest unit index via a stable sort
-    over candidates listed in ascending index order. Deterministic.
+    Exact O(n^2 p) scan; ties broken by smallest unit index, over candidates
+    listed in ascending index order (see _nearest). Deterministic.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
@@ -118,7 +139,7 @@ def match_units(
             # Explicit differences keep exactly-tied candidates bitwise equal.
             diff = z[block][:, None, :] - z_c[None, :, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            order = np.argsort(d2, axis=1, kind="stable")[:, :m]
+            order = _nearest(d2, m)
             matched_sets[block] = cands[order]
             dists[block] = np.sqrt(np.take_along_axis(d2, order, axis=1))
 

@@ -194,9 +194,12 @@ def _solve_pattern(
     y2: float,
     lam: float,
     signs: np.ndarray,
-    ceiling: float,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The exact solve of `_exact_on_support`: (b, gradient corr - G b, verified)."""
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """The exact solve of `_exact_on_support`: (b, gradient corr - G b, value).
+
+    value is b's objective if sign(b) == signs and the KKT conditions hold,
+    else None; `_accepts` compares it with a ceiling.
+    """
     support = signs != 0.0
     b = np.zeros(len(signs))
     if support.any():
@@ -207,13 +210,17 @@ def _solve_pattern(
     grad = corr - gram_b
     tol = KKT_TOL * max(1.0, lam)
     off = ~support & (np.diag(gram) > 0.0)
-    verified = bool(
+    checked = bool(
         np.array_equal(np.sign(b), signs)
         and np.all(np.abs(grad[support] - lam * signs[support]) <= tol)
         and np.all(np.abs(grad[off]) <= lam + tol)
-        and _objective(b, gram_b, corr, y2, lam) <= ceiling + 1e-10 * max(1.0, abs(ceiling))
     )
-    return b, grad, verified
+    return b, grad, _objective(b, gram_b, corr, y2, lam) if checked else None
+
+
+def _accepts(value: float | None, ceiling: float) -> bool:
+    """Whether a checked solve's objective is at most ``ceiling`` (1e-10 relative slack)."""
+    return value is not None and value <= ceiling + 1e-10 * max(1.0, abs(ceiling))
 
 
 def _exact_on_support(
@@ -232,8 +239,8 @@ def _exact_on_support(
     KKT_TOL * max(1, lam) on A and on the live columns off A, and its objective
     is at most ``ceiling`` (with the 1e-10 relative slack of the CD check).
     """
-    b, _, verified = _solve_pattern(gram, corr, y2, lam, signs, ceiling)
-    return b if verified else None
+    b, _, value = _solve_pattern(gram, corr, y2, lam, signs)
+    return b if _accepts(value, ceiling) else None
 
 
 def _moved_pattern(
@@ -281,7 +288,9 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     objective asserted non-increasing on every full cycle, and each cycle that
     misses CD_TOL tries one pattern: the iterate's signs if they changed since
     the last pattern taken from CD (at first the warm start's), else
-    `_moved_pattern` of the last rejected solve. A verified solution ends the step. A step that runs out of
+    `_moved_pattern` of the last rejected solve. A pattern met again in the
+    same step reuses its solve, compared with the new ceiling, instead of
+    solving again. A verified solution ends the step. A step that runs out of
     CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of shape
     (len(lambdas), k).
     """
@@ -297,10 +306,9 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
         q = gram @ beta  # refresh to stop incremental drift accumulating across steps
         from_cd = np.sign(beta)
         pattern = from_cd
-        b, grad, verified = _solve_pattern(
-            gram, corr, y2, lam, pattern, _objective(beta, q, corr, y2, lam)
-        )
-        if verified:
+        b, grad, value = _solve_pattern(gram, corr, y2, lam, pattern)
+        solved = {pattern.tobytes(): (b, grad, value)}  # each pattern is solved once a step
+        if _accepts(value, _objective(beta, q, corr, y2, lam)):
             out[step] = beta = b
             continue
         prev_obj = np.inf
@@ -331,8 +339,11 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
                 pattern = _moved_pattern(beta, pattern, b, grad, lam, live)
             if pattern is None:
                 continue  # nothing new to try until CD's signs change
-            b, grad, verified = _solve_pattern(gram, corr, y2, lam, pattern, obj)
-            if verified:
+            key = pattern.tobytes()
+            if key not in solved:
+                solved[key] = _solve_pattern(gram, corr, y2, lam, pattern)
+            b, grad, value = solved[key]
+            if _accepts(value, obj):
                 beta = b
                 break
         else:

@@ -9,11 +9,13 @@ thresholds come from the per-feature candidate set (midpoints of consecutive
 sorted distinct values plus -inf/+inf sentinels). It is exact. Depth 1 is one
 prefix-sum scan of gamma per feature over a presorted order. At depth 2 the
 best child stump on either side of every root split is read off 2-D prefix
-sums of gamma over (root threshold, child threshold) pairs, built in blocks of
-root thresholds under a fixed byte budget, in O(p^2 n^2) time. The roots that
-score within a rounding tolerance of the best are then re-scored by the
-depth-1 scan on each side, so the result is the same floating-point optimum,
-bit for bit, as solving both depth-1 subproblems of every root. Ties are
+sums of gamma over pairs of thresholds, one table per unordered feature pair
+(its rows score the roots on one feature, its columns the roots on the
+other), built in blocks of rows under a fixed byte budget, in O(p^2 n^2)
+time. The roots that score within a rounding tolerance of the best (zero for
+integer gamma, whose sums are exact) are then re-scored by the depth-1 scan
+on each side, so the result is the same floating-point optimum, bit for bit,
+as solving both depth-1 subproblems of every root. Ties are
 broken by a fixed scan order (feature ascending, threshold ascending, left
 subtree before right), and a leaf takes action 1 iff its gamma sum is
 strictly positive, so results are fully deterministic.
@@ -25,6 +27,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -314,61 +317,82 @@ def _best_stump(per_feature: list, mask: np.ndarray | None) -> _Stump:
     return best
 
 
-def _best_children(sums: np.ndarray) -> np.ndarray:
-    """Per row, the best stump objective max_r |a_r| + |L - a_r| on a_r = sums[:, r].
+def _stump_objective(total: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Best stump objective max_a |a| + |L - a| over left sums a spanning [low, high].
 
-    The last column is the row total L, and |a| + |L - a| = max(|L|, |2a - L|).
+    |a| + |L - a| = max(|L|, |2a - L|), so only the extreme left sums count.
     """
-    total = sums[:, -1]
-    return np.maximum(
-        np.abs(total),
-        np.maximum(2.0 * sums.max(axis=1) - total, total - 2.0 * sums.min(axis=1)),
-    )
+    return np.maximum(np.abs(total), np.maximum(2.0 * high - total, total - 2.0 * low))
+
+
+def _best_children(sums: np.ndarray) -> np.ndarray:
+    """Per row, the best stump objective on left sums sums[:, r]; the last column is the total."""
+    return _stump_objective(sums[:, -1], sums.max(axis=1), sums.min(axis=1))
 
 
 def _root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndarray:
     """Depth-2 objective of every root split, features then thresholds ascending.
 
     A unit's position on feature f is a_f = the first candidate index t with
-    x_f <= cands_f[t], so it goes left of threshold t iff a_f <= t. For each
-    root feature f and child feature g, S[t, r] sums gamma over a_f <= t and
-    a_g <= r; the left child's sums on g are the row S[t, :] and the right
-    child's the row S[-1, :] - S[t, :]. S is built a block of root
-    thresholds at a time under _BLOCK_BYTES, carrying its last row forward.
+    x_f <= cands_f[t], so it goes left of threshold t iff a_f <= t; c_f[t]
+    sums gamma over a_f <= t. A child split on the root's own feature needs
+    only c_f: its left sums are c_f[min(t, r)] and its right sums
+    c_f[r] - c_f[min(t, r)], so prefix and suffix extremes of c_f score it.
+    Each unordered feature pair f < g shares one table S[t, r], the gamma sum
+    over a_f <= t and a_g <= r. For roots on f, the left child's sums on g
+    are the row S[t, :] and the right child's c_g - S[t, :]. For roots on g,
+    the left child's sums on f are the column S[:, r] and the right child's
+    c_f - S[:, r], whose extremes are carried across blocks. S is built a
+    block of rows at a time under _BLOCK_BYTES, carrying its last row forward.
     """
     positions, col_sums = [], []
     for feature, _, _, _, cands in per_feature:
         a = np.searchsorted(cands, x[:, feature], side="left")
         positions.append(a)
         col_sums.append(np.cumsum(np.bincount(a, weights=gamma, minlength=len(cands))))
-    scores = []
-    for (_, order, _, _, cands), a_f in zip(per_feature, positions):
+    left_best, right_best = [], []
+    for c in col_sums:
+        left_best.append(_stump_objective(c, np.maximum.accumulate(c), np.minimum.accumulate(c)))
+        high = np.maximum.accumulate(c[::-1])[::-1] - c
+        low = np.minimum.accumulate(c[::-1])[::-1] - c
+        right_best.append(_stump_objective(c[-1] - c, high, low))
+    for f, g in combinations(range(len(per_feature)), 2):
+        order = per_feature[f][1]
+        a_f, a_g, c_f, c_g = positions[f], positions[g], col_sums[f], col_sums[g]
         a_sorted = a_f[order]  # nondecreasing, so each block's units are one slice
-        left_best = np.full(len(cands), -np.inf)
-        right_best = np.full(len(cands), -np.inf)
-        for a_g, col_sum in zip(positions, col_sums):
-            width = len(col_sum)
-            rows = max(1, _BLOCK_BYTES // (8 * width))
-            carry = np.zeros(width)
-            for t0 in range(0, len(cands), rows):
-                t1 = min(t0 + rows, len(cands))
-                lo, hi = np.searchsorted(a_sorted, (t0, t1))
-                units = order[lo:hi]
-                sums = np.bincount(
-                    (a_f[units] - t0) * width + a_g[units],
-                    weights=gamma[units],
-                    minlength=(t1 - t0) * width,
-                )  # integer zeros when the block holds no unit
-                sums = sums.astype(float, copy=False).reshape(t1 - t0, width)
-                np.cumsum(sums, axis=1, out=sums)
-                sums[0] += carry
-                np.cumsum(sums, axis=0, out=sums)
-                carry = sums[-1].copy()
-                np.maximum(left_best[t0:t1], _best_children(sums), out=left_best[t0:t1])
-                np.subtract(col_sum, sums, out=sums)
-                np.maximum(right_best[t0:t1], _best_children(sums), out=right_best[t0:t1])
-        scores.append(left_best + right_best)
-    return np.concatenate(scores)
+        width = len(c_g)
+        rows = max(1, _BLOCK_BYTES // (8 * width))
+        buffer = np.empty((min(rows, len(c_f)), width))  # for c_f - S
+        carry = np.zeros(width)
+        col_high, col_low = np.full(width, -np.inf), np.full(width, np.inf)
+        rest_high, rest_low = np.full(width, -np.inf), np.full(width, np.inf)
+        for t0 in range(0, len(c_f), rows):
+            t1 = min(t0 + rows, len(c_f))
+            lo, hi = np.searchsorted(a_sorted, (t0, t1))
+            units = order[lo:hi]
+            sums = np.bincount(
+                (a_f[units] - t0) * width + a_g[units],
+                weights=gamma[units],
+                minlength=(t1 - t0) * width,
+            )  # integer zeros when the block holds no unit
+            sums = sums.astype(float, copy=False).reshape(t1 - t0, width)
+            np.cumsum(sums, axis=1, out=sums)
+            sums[0] += carry
+            np.cumsum(sums, axis=0, out=sums)
+            carry = sums[-1].copy()
+            np.maximum(left_best[f][t0:t1], _best_children(sums), out=left_best[f][t0:t1])
+            np.maximum(col_high, sums.max(axis=0), out=col_high)
+            np.minimum(col_low, sums.min(axis=0), out=col_low)
+            rest = np.subtract(c_f[t0:t1, None], sums, out=buffer[: t1 - t0])
+            np.maximum(rest_high, rest.max(axis=0), out=rest_high)
+            np.minimum(rest_low, rest.min(axis=0), out=rest_low)
+            np.subtract(c_g, sums, out=sums)
+            np.maximum(right_best[f][t0:t1], _best_children(sums), out=right_best[f][t0:t1])
+        # carry is now S's last row, the gamma sums over a_g <= r
+        np.maximum(left_best[g], _stump_objective(carry, col_high, col_low), out=left_best[g])
+        right_g = _stump_objective(c_f[-1] - carry, rest_high, rest_low)
+        np.maximum(right_best[g], right_g, out=right_best[g])
+    return np.concatenate(left_best) + np.concatenate(right_best)
 
 
 def search_tree(
@@ -428,8 +452,11 @@ def search_tree(
     # Prefix sums add gamma in another order than _best_stump, so every root
     # scoring within tol of the best (far above that rounding, about
     # n * eps * sum|gamma|) is re-scored by the masked scan, in scan order.
+    # Integer gamma with 4 * sum|gamma| < 2**53 makes every sum exact: tol 0.
     scores = _root_scores(x, gamma, per_feature)
-    tol = 1e-9 * float(np.sum(np.abs(gamma)))
+    scale = float(np.sum(np.abs(gamma)))
+    exact = 4.0 * scale < 2.0**53 and np.array_equal(gamma, np.trunc(gamma))
+    tol = 0.0 if exact else 1e-9 * scale
     near = np.flatnonzero(scores >= np.max(scores) - tol)
     # Largest prefix-sum score among the near-ties from each one onward.
     remaining = np.maximum.accumulate(scores[near][::-1])[::-1]

@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's vectorized code paths:
 matching does a per-unit full sort over explicitly evaluated quadratic forms,
 the matching-ATE oracle walks the textbook formula term by term, the tree
 oracle enumerates every candidate tree with plain masking and Python sums, the
-masked root search re-solves both depth-1 children of every root split, and
-the lasso oracle runs plain cyclic coordinate descent to its tolerance, and
-the CD-then-exact lasso oracle tries an exact solve only when the coordinate
-descent iterate's signs change.
+masked root search re-solves both depth-1 children of every root split, the
+ordered-pair root scorer builds one whole prefix-sum table per (root, child)
+feature pair, the lasso oracle runs plain cyclic coordinate descent to its
+tolerance, and the CD-then-exact lasso oracle tries an exact solve only when
+the coordinate descent iterate's signs change.
 Slow on purpose; correctness reference only.
 """
 
@@ -356,3 +357,40 @@ def masked_root_search(
         leaf_actions=np.array([_leaf(total)[0] for total in leaf_sums]),
         eligible_features=eligible,
     )
+
+
+def ordered_pair_root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndarray:
+    """Depth-2 objective of every root split from one 2-D prefix-sum table per ordered pair.
+
+    For each root feature f and child feature g (g == f included), S[t, r]
+    sums gamma over a_f <= t and a_g <= r, where a_f is a unit's first
+    candidate index t with x_f <= cands_f[t]; the left child's sums on g are
+    the row S[t, :] and the right child's the row S[-1, :] - S[t, :]. Built
+    whole, with no blocks. per_feature rows are (feature, sort order, _, _,
+    candidate thresholds), as in the library.
+    """
+
+    def best_children(sums):
+        total = sums[:, -1]
+        return np.maximum(
+            np.abs(total),
+            np.maximum(2.0 * sums.max(axis=1) - total, total - 2.0 * sums.min(axis=1)),
+        )
+
+    positions, col_sums = [], []
+    for feature, _, _, _, cands in per_feature:
+        a = np.searchsorted(cands, x[:, feature], side="left")
+        positions.append(a)
+        col_sums.append(np.cumsum(np.bincount(a, weights=gamma, minlength=len(cands))))
+    scores = []
+    for (_, _, _, _, cands), a_f in zip(per_feature, positions):
+        left_best = np.full(len(cands), -np.inf)
+        right_best = np.full(len(cands), -np.inf)
+        for a_g, col_sum in zip(positions, col_sums):
+            width = len(col_sum)
+            sums = np.bincount(a_f * width + a_g, weights=gamma, minlength=len(cands) * width)
+            sums = sums.reshape(len(cands), width).cumsum(axis=1).cumsum(axis=0)
+            left_best = np.maximum(left_best, best_children(sums))
+            right_best = np.maximum(right_best, best_children(col_sum - sums))
+        scores.append(left_best + right_best)
+    return np.concatenate(scores)

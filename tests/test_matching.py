@@ -137,6 +137,38 @@ class TestMatchUnits:
         assert len(lines) == 1 + data.n * matches.m
 
 
+class TestNearest:
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "constant"])
+    def test_equals_the_stable_full_sort_prefix(self, kind):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            d2 = rng.normal(size=(rows, width)) ** 2
+            if kind == "rounded":
+                d2 = np.round(d2 * 2.0)  # many exactly tied distances
+            elif kind == "constant":
+                d2 = np.full((rows, width), 2.5)
+            full = np.argsort(d2, axis=1, kind="stable")
+            for m in range(1, width + 1):
+                np.testing.assert_array_equal(matching._nearest(d2, m), full[:, :m])
+
+    def test_untied_rows_are_never_sorted_whole(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        d2 = rng.normal(size=(40, 200)) ** 2
+        widths = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        order = matching._nearest(d2, 5)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(order, np.argsort(d2, axis=1, kind="stable")[:, :5])
+        assert widths and max(widths) == 5
+
+
 class TestImputeRaw:
     def test_single_match_pair(self):
         data = four_unit_example(y=(5.0, 3.0, 50.0, 60.0))

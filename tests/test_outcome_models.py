@@ -485,3 +485,29 @@ class TestPatternFirstSteps:
             xs, _, scales = _standardize(features)
             gram, corr, _ = lasso_parts(xs, y[w == arm] - y[w == arm].mean())
             assert kkt_violation(gram, corr, coef[1:] * scales, lam) <= 1e-8
+
+
+class TestNoRepeatSolves:
+    def test_each_pattern_is_solved_once_per_step(self, monkeypatch):
+        # on the rank-deficient eight-covariate fit, active-set moves return
+        # to rejected patterns; those are answered from the step's earlier solve
+        rows, header = nsw_rows()
+        data = ObservationalDataset(
+            x=rows[:, 1:9], w=rows[:, 0].astype(int), y=rows[:, 9], feature_names=header[1:9]
+        )
+        paths, solves = [], []
+        lasso_path, solve_pattern = outcome_models._lasso_path, outcome_models._solve_pattern
+
+        def counted_path(xs, yc, lambdas):
+            paths.append(len(lambdas))
+            return lasso_path(xs, yc, lambdas)
+
+        def recorded_solve(gram, corr, y2, lam, signs):
+            solves.append((len(paths), lam, signs.tobytes()))
+            return solve_pattern(gram, corr, y2, lam, signs)
+
+        monkeypatch.setattr(outcome_models, "_lasso_path", counted_path)
+        monkeypatch.setattr(outcome_models, "_solve_pattern", recorded_solve)
+        fit_lasso_per_arm(data)
+        assert len(paths) == 12  # five CV folds and one refit per arm
+        assert len(solves) == len(set(solves)) > 1000

@@ -23,7 +23,13 @@ from mbpolicy import (
 )
 from mbpolicy import policytree
 
-from _oracles import masked_root_search, random_dataset, slow_tree_search, tree_objective
+from _oracles import (
+    masked_root_search,
+    ordered_pair_root_scores,
+    random_dataset,
+    slow_tree_search,
+    tree_objective,
+)
 
 
 def nsw_covariates():
@@ -33,6 +39,45 @@ def nsw_covariates():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.generate_rows(0)[:, 1:9]
+
+
+def depth_two_problems():
+    """The 210 (x, gamma, eligible) of TestDepthTwoPrefixSums' bitwise test:
+    normal, rounded and study-shaped x; normal, large, integer and 0.1-step gamma."""
+    rng = np.random.default_rng(69)
+    nsw = nsw_covariates()
+    for trial in range(210):
+        n = int(rng.integers(1, 401))
+        p = int(rng.integers(1, 5))
+        if trial % 3 == 0:
+            x = rng.normal(size=(n, p))
+        elif trial % 3 == 1:
+            x = np.round(rng.normal(size=(n, p)) * 2.0) / 2.0
+        else:
+            columns = rng.choice(nsw.shape[1], size=p, replace=False)
+            x = nsw[rng.choice(nsw.shape[0], size=n, replace=False)][:, columns]
+        kind = (trial // 3) % 4
+        if kind == 0:
+            gamma = rng.normal(size=n)
+        elif kind == 1:
+            gamma = 1e4 * rng.normal(size=n)
+        elif kind == 2:
+            gamma = rng.integers(-9, 10, size=n).astype(float)
+        else:
+            gamma = rng.choice([0.1, 0.2, 0.3], size=n) * rng.choice([-1.0, 1.0], size=n)
+        eligible = None
+        if trial % 5 == 4 and p > 1:
+            eligible = tuple(rng.choice(p, size=p - 1, replace=False).tolist())
+        yield x, gamma, eligible
+
+
+def per_feature_rows(x, eligible=None):
+    """The rows _root_scores reads: feature, sort order and candidates."""
+    features = range(x.shape[1]) if eligible is None else sorted(eligible)
+    return [
+        (f, np.argsort(x[:, f], kind="stable"), None, None, policytree._split_candidates(x[:, f]))
+        for f in features
+    ]
 
 
 def stump(feature, threshold, left, right, p=2):
@@ -428,6 +473,44 @@ class TestDepthTwoPrefixSums:
         tree = search_tree(x, gamma, 2)
         assert len(calls) == 2  # the left and right child of root (0, -inf)
         assert not calls[0].any() and calls[1].all()
+        assert tree == masked_root_search(x, gamma)
+
+    def test_scores_match_the_ordered_pair_tables(self):
+        # one table per unordered pair sums in another order than one per
+        # ordered pair; the masked re-scoring needs them within 1e-9 sum|gamma|
+        for x, gamma, eligible in depth_two_problems():
+            per_feature = per_feature_rows(x, eligible)
+            scores = policytree._root_scores(x, gamma, per_feature)
+            reference = ordered_pair_root_scores(x, gamma, per_feature)
+            assert scores.shape == reference.shape
+            assert np.max(np.abs(scores - reference)) <= 1e-9 * np.sum(np.abs(gamma))
+
+    def test_single_feature_scores_need_no_table(self):
+        rng = np.random.default_rng(73)
+        for x in (rng.normal(size=(200, 1)), np.round(rng.normal(size=(200, 1)) * 2.0)):
+            gamma = rng.normal(size=200)
+            per_feature = per_feature_rows(x)
+            scores = policytree._root_scores(x, gamma, per_feature)
+            reference = ordered_pair_root_scores(x, gamma, per_feature)
+            assert np.max(np.abs(scores - reference)) <= 1e-9 * np.sum(np.abs(gamma))
+            assert search_tree(x, gamma, 2) == masked_root_search(x, gamma)
+
+    def test_integer_scores_rescore_only_the_first_best_root(self, monkeypatch):
+        # integer gamma sums exactly, so equal scores are exact ties and the
+        # first best root ends the re-scoring
+        rng = np.random.default_rng(74)
+        x = rng.normal(size=(500, 4))
+        calls = []
+        best_stump = policytree._best_stump
+
+        def counted(per_feature, mask):
+            calls.append(mask)
+            return best_stump(per_feature, mask)
+
+        monkeypatch.setattr(policytree, "_best_stump", counted)
+        gamma = np.ones(500)
+        tree = search_tree(x, gamma, 2)
+        assert len(calls) == 2  # 4008 with the rounding tolerance
         assert tree == masked_root_search(x, gamma)
 
 
