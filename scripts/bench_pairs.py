@@ -10,9 +10,9 @@ context lines carry their SHAs):
 It runs, in this order:
 
 - end to end, for every workload W of BENCHMARK.json and each workload
-  seed S (default 1 and 2): `bench/run.py --workload W --seed S --seconds T
-  --trace 0`, T being BENCHMARK.json's run_seconds, in alternating
-  parent/change pairs, the side that runs first alternating between pairs;
+  seed S in SEEDS: `bench/run.py --workload W --seed S --seconds T --trace 0`,
+  T being BENCHMARK.json's run_seconds, in PAIRS alternating parent/change
+  pairs, the side that runs first alternating between pairs;
   each record keeps the run's final JSON line, its context line and its
   deterministic output lines;
 - per stage: `match_units` (m=5) and depth-2 `search_tree` on raw m=5
@@ -41,6 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_s": "lower", "peak_rss_mb": "lower"}
+PAIRS = 10
+SEEDS = (1, 2)
 STAGE_NS = (200, 500, 1000, 2000)
 STAGE_RUNS = 5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
@@ -110,9 +112,9 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def end_to_end(sides: dict, workloads: list[str], pairs: int, seed: int, seconds: float) -> dict:
+def end_to_end(sides: dict, workloads: list[str], seed: int, seconds: float) -> dict:
     records = {workload: [] for workload in workloads}
-    for pair in range(pairs):
+    for pair in range(PAIRS):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for workload in workloads:
             for side in order:
@@ -123,7 +125,7 @@ def end_to_end(sides: dict, workloads: list[str], pairs: int, seed: int, seconds
     summary = {}
     for workload, runs in records.items():
         by_side = {side: [r for r in runs if r["side"] == side] for side in sides}
-        entry = {"pairs": pairs}
+        entry = {"pairs": PAIRS}
         for metric, better in BETTER.items():
             values = {s: [r["result"]["metrics"][metric]["value"] for r in by_side[s]] for s in sides}
             won = sum(
@@ -192,8 +194,6 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="usually the change's short SHA")
     parser.add_argument("--summary", required=True, help="one sentence on what the change does")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", default="1,2", help="workload seeds, each run in --pairs pairs")
     args = parser.parse_args()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -206,8 +206,7 @@ def main() -> int:
         "summary": args.summary,
     }
     report["end_to_end"] = {
-        seed: end_to_end(sides, workloads, args.pairs, int(seed), benchmark["run_seconds"])
-        for seed in args.seeds.split(",")
+        str(seed): end_to_end(sides, workloads, seed, benchmark["run_seconds"]) for seed in SEEDS
     }
     context = next(iter(report["end_to_end"].values()))["pairs"][workloads[0]][0]["context"]
     report["machine"] = {k: context[k] for k in ("nproc", "cpu", "python", "numpy", "blas_threads")}

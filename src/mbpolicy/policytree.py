@@ -11,14 +11,15 @@ prefix-sum scan of gamma per feature over a presorted order. At depth 2 the
 best child stump on either side of every root split is read off 2-D prefix
 sums of gamma over pairs of thresholds, one table per unordered feature pair
 (its rows score the roots on one feature, its columns the roots on the
-other), built in blocks of rows under a fixed byte budget, in O(p^2 n^2)
-time. The roots that score within a rounding tolerance of the best (zero for
-integer gamma, whose sums are exact) are then re-scored by the depth-1 scan
-on each side, so the result is the same floating-point optimum, bit for bit,
-as solving both depth-1 subproblems of every root. Ties are
-broken by a fixed scan order (feature ascending, threshold ascending, left
-subtree before right), and a leaf takes action 1 iff its gamma sum is
-strictly positive, so results are fully deterministic.
+other), built in blocks of rows under a fixed byte budget (a block of the
+table and one reused buffer of the same size are live at once), in
+O(p^2 n^2) time. The roots that score within a rounding tolerance of the
+best (zero for integer gamma, whose sums are exact) are then re-scored by
+the depth-1 scan on each side, so the result is the same floating-point
+optimum, bit for bit, as solving both depth-1 subproblems of every root.
+Ties are broken by a fixed scan order (feature ascending, threshold
+ascending, left subtree before right), and a leaf takes action 1 iff its
+gamma sum is strictly positive, so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 
 MAX_DEPTH = 2
 CORRECTIONS = ("none", "ols", "lasso")
-_BLOCK_BYTES = 1 << 20  # budget for one block of the depth-2 scan's prefix-sum rows
+_BLOCK_BYTES = 1 << 20  # one block of depth-2 prefix-sum rows; its c_f - S buffer too
 # Characters str.splitlines breaks on, escaped in split labels so each split
 # stays on one line of to_text; the names: line keeps the exact names.
 _LINE_BREAKS = str.maketrans(
@@ -343,7 +344,8 @@ def _root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndar
     are the row S[t, :] and the right child's c_g - S[t, :]. For roots on g,
     the left child's sums on f are the column S[:, r] and the right child's
     c_f - S[:, r], whose extremes are carried across blocks. S is built a
-    block of rows at a time under _BLOCK_BYTES, carrying its last row forward.
+    block of rows at a time under _BLOCK_BYTES, carrying its last row forward;
+    c_f - S goes into one reused buffer of the same size.
     """
     positions, col_sums = [], []
     for feature, _, _, _, cands in per_feature:
