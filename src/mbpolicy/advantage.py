@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import ObservationalDataset, _check_assignments, _freeze
+from .dataset import ObservationalDataset, _check_assignments, _check_propensities, _freeze
 from .matching import ImputedPotentialOutcomes, MatchResult, _check_fresh, k_pi_counts
 from .outcome_models import OutcomeModel, predict_matrix
 
@@ -198,11 +198,7 @@ def aipw_scores(
     Propensities outside [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP] are clipped in
     and counted; values outside [0, 1] are rejected.
     """
-    e_hat = np.asarray(e_hat, dtype=float)
-    if e_hat.shape != (data.n,):
-        raise ValueError(f"e_hat has shape {e_hat.shape}, expected ({data.n},)")
-    if np.any(~np.isfinite(e_hat)) or np.any(e_hat < 0.0) or np.any(e_hat > 1.0):
-        raise ValueError("e_hat entries must lie in [0, 1]")
+    e_hat = _check_propensities(e_hat, data.n)
     clipped = np.clip(e_hat, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
     n_clipped = int(np.sum(clipped != e_hat))
 

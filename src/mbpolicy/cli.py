@@ -159,17 +159,33 @@ def _resolve_policy(spec: str, feature_names: tuple[str, ...]) -> TreePolicy:
             f"policy {spec!r} is not 'treat-all', 'treat-none', or an existing file"
         )
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        return TreePolicy.from_json(text)
-    return TreePolicy.from_text(text)
+    tree = TreePolicy.from_json(text) if path.suffix == ".json" else TreePolicy.from_text(text)
+    if tree.feature_names is not None:
+        for j in sorted(set(tree.features.tolist())):
+            if j < len(feature_names) and tree.feature_names[j] != feature_names[j]:
+                raise ValueError(
+                    f"policy splits on feature {j} named {tree.feature_names[j]!r}, "
+                    f"but column {j} of the data is {feature_names[j]!r}"
+                )
+    return tree
 
 
-def _write_grid(out: Path, rows: list) -> None:
-    """Simulation-grid outputs: results, summary and timings; checksums skip the timings."""
+def _write_grid(
+    out: Path, args: argparse.Namespace, settings: list, methods: list[str], reps: int, depth: int
+) -> tuple[list, int]:
+    """Run the grid and write results, summary and timings; checksums skip the timings.
+
+    Returns the rows and the exit code, a runtime failure when every row failed.
+    """
+    rows = run_experiment(
+        settings, methods, reps, seed=args.seed, test_n=args.test_n, depth=depth,
+        threads=args.threads,
+    )
     write_results_csv(rows, out / "results.csv")
     write_summary_csv(rows, out / "summary.csv")
     write_timings_csv(rows, out / "timings.csv")
     _write_checksums(out, ["results.csv", "summary.csv"])
+    return rows, EXIT_RUNTIME if all(row.error for row in rows) else EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -202,21 +218,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
         inputs={},
     )
-    rows = run_experiment(
-        settings, methods, args.reps, seed=args.seed, test_n=args.test_n, depth=args.depth,
-        threads=args.threads,
-    )
-    _write_grid(out, rows)
+    rows, code = _write_grid(out, args, settings, methods, args.reps, args.depth)
     for summary in summarize_results(rows):
         print(
             f"{summary['method']}: mean value {summary['mean_value']:.4f} "
             f"(sd {summary['sd_value']:.4f}), mean regret {summary['mean_regret']:.4f}, "
             f"failed {summary['failed']}/{summary['replications']}"
         )
-    if all(row.error for row in rows):
+    if code != EXIT_OK:
         print("all replicates failed", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return code
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
@@ -246,15 +257,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         for contrast in contrasts
         for n in sizes
     ]
-    rows = run_experiment(
-        settings, list(methods), reps, seed=args.seed, test_n=args.test_n, threads=args.threads
-    )
-    _write_grid(out, rows)
+    rows, code = _write_grid(out, args, settings, list(methods), reps, depth=2)
     n_failed = sum(1 for row in rows if row.error)
     print(f"{len(rows)} replicate rows written, {n_failed} failed")
-    if rows and n_failed == len(rows):
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return code
 
 
 def cmd_learn(args: argparse.Namespace) -> int:

@@ -48,6 +48,16 @@ def _check_assignments(assignments: np.ndarray, n: int) -> np.ndarray:
     return assignments
 
 
+def _check_propensities(e_hat: np.ndarray, n: int) -> np.ndarray:
+    """Return e_hat as a float array, checked to be a length-n vector in [0, 1]."""
+    e_hat = np.asarray(e_hat, dtype=float)
+    if e_hat.shape != (n,):
+        raise ValueError(f"propensities have shape {e_hat.shape}, expected ({n},)")
+    if np.any(~np.isfinite(e_hat)) or np.any(e_hat < 0.0) or np.any(e_hat > 1.0):
+        raise ValueError("propensities must lie in [0, 1]")
+    return e_hat
+
+
 @dataclass(frozen=True)
 class ObservationalDataset:
     """Immutable observational study: n units with p covariates, binary treatment, outcome.
@@ -184,11 +194,15 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def _read_header(reader: Iterator[list[str]], path: Path) -> list[str]:
-    """The first CSV row, names stripped of surrounding whitespace."""
+    """The first CSV row, names stripped of surrounding whitespace and unique."""
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file, expected a header row")
-    return [name.strip() for name in header]
+    header = [name.strip() for name in header]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{path}: header repeats column(s) {repeated}")
+    return header
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:

@@ -22,7 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .advantage import _mu_matrix
-from .dataset import ObservationalDataset, _check_assignments, _freeze, write_csv
+from .dataset import (
+    ObservationalDataset,
+    _check_assignments,
+    _check_propensities,
+    _freeze,
+    write_csv,
+)
 from .outcome_models import _standardize, fit_ols_per_arm, predict_matrix
 from .policytree import TreePolicy, evaluate_policy
 from .seeding import derive_seed, philox_rng
@@ -63,15 +69,6 @@ def fit_linear_probability(
     return np.clip(design @ coef, *LINPROB_CLIP)
 
 
-def _propensity_vector(data: ObservationalDataset, e_hat: np.ndarray) -> np.ndarray:
-    e = np.asarray(e_hat, dtype=float)
-    if e.shape != (data.n,):
-        raise ValueError(f"propensities have shape {e.shape}, expected ({data.n},)")
-    if np.any(~np.isfinite(e)) or np.any(e < 0.0) or np.any(e > 1.0):
-        raise ValueError("propensities must lie in [0, 1]")
-    return e
-
-
 def aipw_value_estimate(
     data: ObservationalDataset,
     assignments: np.ndarray,
@@ -84,7 +81,7 @@ def aipw_value_estimate(
     probability is derived from it and clipped at VALUE_CLIP.
     """
     pi = _check_assignments(assignments, data.n).astype(np.int64)
-    e_treat = np.clip(_propensity_vector(data, e_hat), VALUE_CLIP, 1.0 - VALUE_CLIP)
+    e_treat = np.clip(_check_propensities(e_hat, data.n), VALUE_CLIP, 1.0 - VALUE_CLIP)
     e_assigned = np.where(pi == 1, e_treat, 1.0 - e_treat)
     mu0 = _mu_matrix(mu_hat, data.x, 0)
     mu1 = _mu_matrix(mu_hat, data.x, 1)
@@ -154,8 +151,8 @@ def cross_validate(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if data.n < folds:
         raise ValueError(f"n={data.n} is smaller than folds={folds}")
-    e_full = _propensity_vector(
-        data, arm_proportion_propensity(data) if e_hat is None else e_hat
+    e_full = _check_propensities(
+        arm_proportion_propensity(data) if e_hat is None else e_hat, data.n
     )
     if mu_hat is None:
         mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))

@@ -11,9 +11,9 @@ ziggurat normal transform, keyed directly (no seed spreading), and the draw
 order inside generate() is fixed: covariate matrix, then treatment uniforms,
 then outcome noise. Identical specs therefore reproduce bit-identical data.
 
-run_experiment pairs methods on common random numbers: the per-replicate
-dataset and test-set seeds are derived from the setting and replicate index
-only, never from the method name.
+run_experiment runs one job per (setting, replicate), which draws the training
+and test sets once for every method: methods compete on common random
+numbers, whose seeds never include the method name.
 """
 
 from __future__ import annotations
@@ -281,44 +281,42 @@ class ReplicateResult:
 
 
 def _run_single(
-    setting: SimulationSpec, method: str, rep: int, seed: int, test_n: int, depth: int
-) -> ReplicateResult:
+    setting: SimulationSpec, methods: list[str], rep: int, seed: int, test_n: int, depth: int
+) -> list[ReplicateResult]:
+    """One (setting, replicate) job: one row per method, all on the same draw.
+
+    The training set, test set and optimal value are drawn once, inside the
+    first method's try; a failed draw is retried by the next method, so every
+    row of a job whose draw fails carries that error. Each row's seconds
+    cover its own method, and the first row's also cover the draw.
+    """
     base = (setting.propensity_scenario, setting.main_effect, setting.contrast)
     dataset_seed = derive_seed("dataset", *base, setting.n, seed, rep)
     # test sets are shared across methods and across training sizes
     test_seed = derive_seed("test", *base, seed, rep)
-    method_seed = derive_seed("method", method, *base, setting.n, seed, rep)
-
-    start = time.perf_counter()
-    try:
-        data, _ = generate(replace(setting, seed=dataset_seed))
-        test_spec = replace(setting, n=test_n, seed=test_seed)
-        test_data, test_oracle = generate(test_spec)
-        tree = learn_with_method(data, method, method_seed, depth)
-        assignments = evaluate_policy(tree, test_data.x)
-        value = empirical_value(assignments, test_oracle)
-        optimal = empirical_value(test_oracle.optimal_rule(test_data.x), test_oracle)
-        return ReplicateResult(
-            *base,
-            n=setting.n,
-            method=method,
-            replicate=rep,
-            value=value,
-            regret=optimal - value,
-            seconds=time.perf_counter() - start,
-            tree=tree,
-        )
-    except Exception as exc:
-        return ReplicateResult(
-            *base,
-            n=setting.n,
-            method=method,
-            replicate=rep,
-            value=float("nan"),
-            regret=float("nan"),
-            seconds=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    drawn = None
+    rows = []
+    for method in methods:
+        method_seed = derive_seed("method", method, *base, setting.n, seed, rep)
+        start = time.perf_counter()
+        try:
+            if drawn is None:
+                data, _ = generate(replace(setting, seed=dataset_seed))
+                test_data, test_oracle = generate(replace(setting, n=test_n, seed=test_seed))
+                optimal = empirical_value(test_oracle.optimal_rule(test_data.x), test_oracle)
+                drawn = data, test_data, test_oracle, optimal
+            data, test_data, test_oracle, optimal = drawn
+            tree = learn_with_method(data, method, method_seed, depth)
+            value = empirical_value(evaluate_policy(tree, test_data.x), test_oracle)
+            outcome = dict(value=value, regret=optimal - value, tree=tree)
+        except Exception as exc:
+            nan = float("nan")
+            outcome = dict(value=nan, regret=nan, error=f"{type(exc).__name__}: {exc}")
+        rows.append(ReplicateResult(
+            *base, n=setting.n, method=method, replicate=rep,
+            seconds=time.perf_counter() - start, **outcome,
+        ))
+    return rows
 
 
 def run_experiment(
@@ -332,34 +330,30 @@ def run_experiment(
 ) -> list[ReplicateResult]:
     """Replicated grid run: settings x methods x replications.
 
-    Each job's seeds derive from (setting, method, replicate, seed); the seed
-    field of the settings themselves is ignored. Dataset and test-set seeds
-    omit the method name, so methods compete on common random numbers.
-    Per-replicate failures are recorded in the row, not raised. Output order
-    and content are independent of threads.
+    One job per (setting, replicate) draws the training set, test set and
+    optimal value once and runs every method on them. Seeds derive from
+    (setting, replicate, seed), plus the method name for the learner's own
+    seed; the seed field of the settings themselves is ignored. Per-method
+    failures are recorded in the row, not raised. Rows come back ordered by
+    setting, then method, then replicate, whatever threads is.
     """
     if not settings or not methods or replications < 1:
         raise ValueError("need at least one setting, one method, one replication")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
-    jobs = [
-        (setting, method, rep)
-        for setting in settings
-        for method in methods
-        for rep in range(replications)
-    ]
+    jobs = [(setting, rep) for setting in settings for rep in range(replications)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_run_single, setting, method, rep, seed, test_n, depth)
-                for setting, method, rep in jobs
+                pool.submit(_run_single, setting, methods, rep, seed, test_n, depth)
+                for setting, rep in jobs
             ]
-            return [f.result() for f in futures]
-    return [
-        _run_single(setting, method, rep, seed, test_n, depth)
-        for setting, method, rep in jobs
-    ]
+            done = [f.result() for f in futures]
+    else:
+        done = [_run_single(setting, methods, rep, seed, test_n, depth) for setting, rep in jobs]
+    per_setting = [done[i : i + replications] for i in range(0, len(done), replications)]
+    return [job[k] for reps in per_setting for k in range(len(methods)) for job in reps]
 
 
 # Columns that identify a replicate row; results and timings both lead with them.

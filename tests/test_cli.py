@@ -293,3 +293,35 @@ class TestReplicate:
         assert "replicate rows written" in capsys.readouterr().out
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 3  # two methods x three replications
+
+
+class TestPolicyFeatureNames:
+    """A policy file's split features must name the same data columns."""
+
+    @pytest.mark.parametrize("suffix", ["json", "txt"])
+    def test_swapped_covariates_are_rejected(self, eval_csv, tmp_path, capsys, suffix):
+        fit = tmp_path / "fit"
+        assert main(["learn", "--data", str(eval_csv), "--covariates", "a,b", "--m", "1",
+                     "--correction", "none", "--depth", "1", "--out", str(fit)]) == 0
+        j = int(TreePolicy.from_json((fit / "policy.json").read_text()).features[0])
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--data", str(eval_csv), "--covariates", "b,a",
+                     "--policy", str(fit / f"policy.{suffix}"), "--out", str(out)])
+        assert code == 1
+        named, actual = ("a", "b") if j == 0 else ("b", "a")
+        assert (
+            f"policy splits on feature {j} named {named!r}, "
+            f"but column {j} of the data is {actual!r}"
+        ) in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()
+
+
+class TestRepeatedHeader:
+    def test_repeated_column_is_a_runtime_error(self, eval_csv, tmp_path, capsys):
+        header, *rows = eval_csv.read_text().splitlines()
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("\n".join([header + ",a", *(row + ",0" for row in rows)]) + "\n")
+        code = main(["balance", "--data", str(repeated), "--covariates", "a",
+                     "--out", str(tmp_path / "bal")])
+        assert code == 1
+        assert "header repeats column(s) ['a']" in capsys.readouterr().err

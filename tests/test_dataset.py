@@ -58,6 +58,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="'b'"):
             load_csv(path, SCHEMA)
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # a stripped " a" repeats "a"; neither copy may be loaded silently
+        path = write_csv(tmp_path, "w,y,a,b, a\n1,5.0,0,10,7\n0,4.0,1,11,8\n")
+        with pytest.raises(ValueError, match=r"header repeats column\(s\) \['a'\]"):
+            load_csv(path, SCHEMA)
+
     def test_schema_rejects_duplicate_roles(self):
         with pytest.raises(ValueError, match="multiple roles"):
             CsvSchema(treatment="w", outcome="w", covariates=("a",))

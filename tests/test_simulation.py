@@ -21,6 +21,7 @@ from mbpolicy import (
     write_summary_csv,
     write_timings_csv,
 )
+from mbpolicy import simulation
 
 
 def spec(scenario=1, main="linear", contrast="tree", n=100, seed=0):
@@ -329,3 +330,52 @@ class TestMonteCarloEstimateType:
     def test_fields(self):
         est = MonteCarloEstimate(value=0.5, standard_error=0.01)
         assert est.value == 0.5 and est.standard_error == 0.01
+
+
+class TestOneJobPerReplicate:
+    """run_experiment draws each (setting, replicate) once and runs every method on it."""
+
+    @staticmethod
+    def fields(row):
+        return (row.propensity_scenario, row.main_effect, row.contrast, row.n, row.method,
+                row.replicate, repr(row.value), repr(row.regret), row.error, row.tree)
+
+    def test_generate_runs_twice_per_setting_and_replicate(self, monkeypatch):
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(simulation, "generate", spy)
+        settings = [spec(1, "linear", "tree", n=40), spec(2, "nonlinear", "nontree", n=40)]
+        rows = run_experiment(settings, ["mb-m1", "mb-m5", "mb-lr-m1"], 2, seed=3, test_n=200)
+        assert len(rows) == 12 and not any(row.error for row in rows)
+        # one training set and one test set per (setting, replicate)
+        assert len(calls) == 2 * 2 * 2
+        assert sorted(c.n for c in calls) == [40] * 4 + [200] * 4
+
+    def test_failed_draw_fails_every_method(self):
+        rows = run_experiment([spec(n=1)], ["mb-m1", "mb-m5"], 1, seed=4, test_n=100)
+        assert [row.method for row in rows] == ["mb-m1", "mb-m5"]
+        for row in rows:
+            assert row.error == "ValueError: need at least 2 units, got 1"
+            assert np.isnan(row.value) and np.isnan(row.regret) and row.tree is None
+
+    def test_failed_method_leaves_the_others(self):
+        settings = [spec(1, "linear", "tree", n=8)]
+        lasso, matching = run_experiment(settings, ["mb-lasso-m1", "mb-m1"], 1, seed=8, test_n=100)
+        (alone,) = run_experiment(settings, ["mb-m1"], 1, seed=8, test_n=100)
+        assert lasso.method == "mb-lasso-m1" and lasso.error != "" and lasso.tree is None
+        assert matching.error == ""
+        assert self.fields(matching) == self.fields(alone)
+
+    def test_rows_ordered_by_setting_method_replicate_at_any_thread_count(self):
+        settings = [spec(1, "linear", "tree", n=40), spec(3, "linear", "nontree", n=50)]
+        methods = ["mb-m5", "mb-m1"]
+        serial = run_experiment(settings, methods, 2, seed=9, test_n=300, threads=1)
+        parallel = run_experiment(settings, methods, 2, seed=9, test_n=300, threads=2)
+        assert [self.fields(r) for r in serial] == [self.fields(r) for r in parallel]
+        assert [(r.n, r.method, r.replicate) for r in serial] == [
+            (s.n, m, rep) for s in settings for m in methods for rep in range(2)
+        ]
