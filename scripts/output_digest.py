@@ -12,7 +12,10 @@ Two commits that print the same digest give byte-identical outputs on:
   seeds 1000-1002 (its `--seed 1`, rounds 0-2), test_n 20000, depth 2;
 - the `outputs.sha256` of `evaluate --cv --repeats 1 --method mb-lr-m5
   --exclude black,hispanic` on bench/nsw_shaped.py's seed-0 file, CV seeds
-  8-15 (the study-cv workload's `--seed 1` ops).
+  8-15 (the study-cv workload's `--seed 1` ops);
+- the `outputs.sha256` (policy and gamma.csv) of the study-learn workload's op,
+  `learn --correction lasso --m 5 --depth 2 --covariates
+  age,education,re74,re75` on the same file.
 
 Unlike the benchmark's "(deterministic)" lines, the digest does not depend
 on how many ops a timed run completes. --verbose also prints each item's
@@ -32,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LEARN_COVARIATES = "age,education,re74,re75"
 SIM_SETTINGS = ((1, "linear", "tree", 500), (5, "nonlinear", "nontree", 500))
 EXPERIMENT_SEEDS = (1000, 1001, 1002)
 CV_SEEDS = range(8, 16)
@@ -54,19 +58,27 @@ def items(root: Path):
     spec = importlib.util.spec_from_file_location("nsw_shaped", root / "bench" / "nsw_shaped.py")
     nsw_shaped = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(nsw_shaped)
+
+    def checksums(argv: list[str], out: Path) -> bytes:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        return (out / "outputs.sha256").read_bytes()
+
     with tempfile.TemporaryDirectory() as work:
         path = nsw_shaped.write_csv(Path(work) / "nsw_shaped.csv", 0)
         for seed in CV_SEEDS:
-            out = Path(work) / f"cv-{seed}"
             argv = [
                 "evaluate", "--data", str(path), "--cv", "--repeats", "1", "--seed", str(seed),
-                "--method", "mb-lr-m5", "--exclude", "black,hispanic", "--out", str(out),
+                "--method", "mb-lr-m5", "--exclude", "black,hispanic",
             ]
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            if code != 0:
-                raise RuntimeError(f"evaluate --cv at seed {seed} exited {code}")
-            yield f"cv/{seed}", (out / "outputs.sha256").read_bytes()
+            yield f"cv/{seed}", checksums(argv, Path(work) / f"cv-{seed}")
+        argv = [
+            "learn", "--data", str(path), "--covariates", LEARN_COVARIATES,
+            "--correction", "lasso", "--m", "5", "--depth", "2",
+        ]
+        yield "learn", checksums(argv, Path(work) / "learn")
 
 
 def main() -> int:

@@ -6,133 +6,26 @@ learn a fixed-depth decision-tree policy by exact search over the scored
 units, and evaluate policies on simulated or real observational data.
 """
 
-from .advantage import (
-    AdvantageDecomposition,
-    AipwScores,
-    advantage_estimate,
-    advantage_linear_form,
-    aipw_scores,
-    decompose_advantage,
-    estimate_conditional_bias,
-)
-from .dataset import (
-    BalanceReport,
-    CsvSchema,
-    ObservationalDataset,
-    concat_datasets,
-    load_csv,
-    normalized_differences,
-)
-from .evaluation import (
-    CrossValReport,
-    aipw_value_estimate,
-    arm_proportion_propensity,
-    cross_validate,
-    fit_linear_probability,
-)
-from .matching import (
-    ImputedPotentialOutcomes,
-    MatchResult,
-    impute_bias_corrected,
-    impute_raw,
-    k_pi_counts,
-    match_units,
-)
-from .metric import MahalanobisMetric, distance, fit_mahalanobis
-from .outcome_models import (
-    OutcomeModel,
-    expand_features,
-    fit_lasso_per_arm,
-    fit_ols_per_arm,
-    predict,
-    predict_matrix,
-)
-from .policytree import (
-    LearnConfig,
-    PolicyLearningError,
-    TreePolicy,
-    constant_policy,
-    evaluate_policy,
-    impute_scores,
-    learn_policy,
-    search_tree,
-)
-from .seeding import derive_seed, philox_rng
-from .simulation import (
-    METHODS,
-    MonteCarloEstimate,
-    ReplicateResult,
-    SimulationOracle,
-    SimulationSpec,
-    empirical_value,
-    generate,
-    learn_with_method,
-    run_experiment,
-    summarize_results,
-    true_advantage,
-    write_results_csv,
-    write_summary_csv,
-    write_timings_csv,
-)
+# Each library module's __all__ is its public interface; the package
+# republishes all of them, so a public name is listed once, where it is defined.
+# Importing a submodule also binds it as a package attribute (advantage, ...).
+from .advantage import *
+from .dataset import *
+from .evaluation import *
+from .matching import *
+from .metric import *
+from .outcome_models import *
+from .policytree import *
+from .seeding import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvantageDecomposition",
-    "AipwScores",
-    "BalanceReport",
-    "CrossValReport",
-    "CsvSchema",
-    "ImputedPotentialOutcomes",
-    "LearnConfig",
-    "METHODS",
-    "MahalanobisMetric",
-    "MatchResult",
-    "MonteCarloEstimate",
-    "ObservationalDataset",
-    "OutcomeModel",
-    "PolicyLearningError",
-    "ReplicateResult",
-    "SimulationOracle",
-    "SimulationSpec",
-    "TreePolicy",
-    "advantage_estimate",
-    "advantage_linear_form",
-    "aipw_scores",
-    "aipw_value_estimate",
-    "arm_proportion_propensity",
-    "concat_datasets",
-    "constant_policy",
-    "cross_validate",
-    "decompose_advantage",
-    "derive_seed",
-    "distance",
-    "empirical_value",
-    "estimate_conditional_bias",
-    "evaluate_policy",
-    "expand_features",
-    "fit_lasso_per_arm",
-    "fit_linear_probability",
-    "fit_mahalanobis",
-    "fit_ols_per_arm",
-    "generate",
-    "impute_bias_corrected",
-    "impute_raw",
-    "impute_scores",
-    "k_pi_counts",
-    "learn_policy",
-    "learn_with_method",
-    "load_csv",
-    "match_units",
-    "normalized_differences",
-    "philox_rng",
-    "predict",
-    "predict_matrix",
-    "run_experiment",
-    "search_tree",
-    "summarize_results",
-    "true_advantage",
-    "write_results_csv",
-    "write_summary_csv",
-    "write_timings_csv",
+    name
+    for module in (
+        advantage, dataset, evaluation, matching, metric,
+        outcome_models, policytree, seeding, simulation,
+    )
+    for name in module.__all__
 ]

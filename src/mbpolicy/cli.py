@@ -3,9 +3,9 @@
 Every command resolves its configuration, writes a manifest.json (resolved
 parameters plus sha256 of each input file) before any computation, then
 writes its result files and an outputs.sha256 covering the deterministic
-primary outputs. Wall-clock measurements go to a separate timings.csv so
-rerunning a command with identical inputs reproduces the primary outputs
-byte for byte.
+primary outputs, so rerunning a command with identical inputs reproduces
+them byte for byte. simulate and replicate also write their wall-clock
+measurements, to a separate timings.csv that the checksums leave out.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -29,9 +30,22 @@ from .evaluation import (
     fit_linear_probability,
 )
 from .outcome_models import fit_ols_per_arm, predict_matrix
-from .policytree import LearnConfig, TreePolicy, constant_policy, evaluate_policy, impute_scores, learn_policy
+from .policytree import (
+    CORRECTIONS,
+    MAX_DEPTH,
+    LearnConfig,
+    TreePolicy,
+    constant_policy,
+    evaluate_policy,
+    impute_scores,
+    learn_policy,
+)
 from .simulation import (
+    CONTRASTS,
+    DEFAULT_TEST_N,
+    MAIN_EFFECTS,
     METHODS,
+    SCENARIOS,
     SimulationSpec,
     learn_with_method,
     run_experiment,
@@ -50,17 +64,17 @@ BUDGETS = {
     # (scenarios, main effects, contrasts, train sizes, methods, replications)
     "smoke": ((1,), ("linear",), ("tree",), (200,), ("mb-m5", "mb-lasso-m5"), 3),
     "desk": (
-        (1, 2, 3, 4, 5),
-        ("linear", "nonlinear"),
-        ("tree", "nontree"),
+        tuple(SCENARIOS),
+        MAIN_EFFECTS,
+        CONTRASTS,
         (500,),
         ("mb-m5", "mb-lasso-m5", "aipw-tree"),
         20,
     ),
     "full": (
-        (1, 2, 3, 4, 5),
-        ("linear", "nonlinear"),
-        ("tree", "nontree"),
+        tuple(SCENARIOS),
+        MAIN_EFFECTS,
+        CONTRASTS,
         (200, 500, 1000),
         tuple(sorted(METHODS)),
         200,
@@ -122,7 +136,7 @@ def _load_dataset(args: argparse.Namespace):
     path = Path(args.data)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = _read_header(csv.reader(fh), path)
     if args.covariates:
         covariates = _split_csv_flag(args.covariates)
@@ -277,11 +291,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         out,
         "learn",
         {
-            "m": args.m,
-            "correction": args.correction,
-            "depth": args.depth,
-            "lasso_folds": args.lasso_folds,
-            "seed": args.seed,
+            **asdict(config),
             **_data_parameters(args, data),
             "excluded_from_policy": sorted(
                 set(data.feature_names)
@@ -406,11 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matching-based policy learning: simulate, learn, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    depths = range(1, MAX_DEPTH + 1)
+    learn_defaults = LearnConfig()
 
     sim = sub.add_parser("simulate", help="replicated simulation runs on one setting")
-    sim.add_argument("--scenario", type=int, choices=range(1, 6), required=True)
-    sim.add_argument("--main", choices=("linear", "nonlinear"), required=True)
-    sim.add_argument("--contrast", choices=("tree", "nontree"), required=True)
+    sim.add_argument("--scenario", type=int, choices=SCENARIOS, required=True)
+    sim.add_argument("--main", choices=MAIN_EFFECTS, required=True)
+    sim.add_argument("--contrast", choices=CONTRASTS, required=True)
     sim.add_argument("--n", type=_positive_int, required=True, help="training size")
     sim.add_argument(
         "--method",
@@ -419,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--reps", type=_positive_int, default=50)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--test-n", type=_positive_int, default=20_000)
-    sim.add_argument("--depth", type=int, choices=(1, 2), default=2)
+    sim.add_argument("--test-n", type=_positive_int, default=DEFAULT_TEST_N)
+    sim.add_argument("--depth", type=int, choices=depths, default=2)
     sim.add_argument("--threads", type=_positive_int, default=1)
     sim.add_argument("--out", default="", help=f"output dir (or ${OUT_DIR_ENV})")
     sim.set_defaults(func=cmd_simulate)
@@ -428,18 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replicate", help="bundled simulation grids")
     rep.add_argument("--budget", choices=sorted(BUDGETS), default="desk")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--test-n", type=_positive_int, default=20_000)
+    rep.add_argument("--test-n", type=_positive_int, default=DEFAULT_TEST_N)
     rep.add_argument("--threads", type=_positive_int, default=1)
     rep.add_argument("--out", default="")
     rep.set_defaults(func=cmd_replicate)
 
     learn = sub.add_parser("learn", help="learn a tree policy from a CSV")
     _add_data_flags(learn)
-    learn.add_argument("--m", type=_positive_int, default=5, help="matches per unit")
-    learn.add_argument("--correction", choices=("none", "ols", "lasso"), default="lasso")
-    learn.add_argument("--depth", type=int, choices=(1, 2), default=2)
-    learn.add_argument("--lasso-folds", type=_positive_int, default=5)
-    learn.add_argument("--seed", type=int, default=0)
+    learn.add_argument("--m", type=_positive_int, default=learn_defaults.m, help="matches per unit")
+    learn.add_argument("--correction", choices=CORRECTIONS, default=learn_defaults.correction)
+    learn.add_argument("--depth", type=int, choices=depths, default=learn_defaults.depth)
+    learn.add_argument("--lasso-folds", type=_positive_int, default=learn_defaults.lasso_folds)
+    learn.add_argument("--seed", type=int, default=learn_defaults.seed)
     learn.add_argument("--out", default="")
     learn.set_defaults(func=cmd_learn)
 
@@ -454,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", choices=sorted(METHODS), default="mb-lasso-m5")
     ev.add_argument("--folds", type=_positive_int, default=5)
     ev.add_argument("--repeats", type=_positive_int, default=100)
-    ev.add_argument("--depth", type=int, choices=(1, 2), default=2)
+    ev.add_argument("--depth", type=int, choices=depths, default=2)
     ev.add_argument(
         "--propensity",
         choices=("proportions", "linear"),

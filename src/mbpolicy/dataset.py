@@ -22,18 +22,18 @@ __all__ = [
     "load_csv",
     "normalized_differences",
     "concat_datasets",
-    "write_csv",
 ]
 
 
 def _freeze(obj: object, **fields: object) -> None:
     """Set fields on a frozen dataclass; arrays are stored C-contiguous and read-only.
 
-    An array numpy can use as-is is stored without a copy.
+    An array numpy can use as-is is stored as a read-only view of the caller's
+    memory, so the caller's own array stays writable.
     """
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value = np.ascontiguousarray(value)
+            value = np.ascontiguousarray(value).view()
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
 
@@ -206,7 +206,7 @@ def _read_header(reader: Iterator[list[str]], path: Path) -> list[str]:
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
-    """Load a UTF-8, comma-delimited, headered CSV into a dataset.
+    """Load a UTF-8 (optionally BOM-prefixed), comma-delimited, headered CSV into a dataset.
 
     Rows keep file order. Any unparsable cell is an error naming the data row
     (1-based, header excluded) and the column; nothing is silently dropped.
@@ -214,7 +214,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         col_of = {name: idx for idx, name in enumerate(header)}

@@ -34,7 +34,6 @@ __all__ = [
     "fit_lasso_per_arm",
     "predict",
     "predict_matrix",
-    "default_lambda_grid",
 ]
 
 CD_TOL = 1e-7          # stop a penalty step when max coefficient change is below this
@@ -54,12 +53,8 @@ def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
     if expansion == "linear":
         return x
     if expansion == "quadratic":
-        p = x.shape[1]
-        cols = [x, x**2]
-        for j in range(p):
-            for k in range(j + 1, p):
-                cols.append((x[:, j] * x[:, k])[:, None])
-        return np.hstack(cols)
+        j, k = np.triu_indices(x.shape[1], 1)  # pairs j < k in row-major order
+        return np.hstack([x, x**2, x[:, j] * x[:, k]])
     raise ValueError(f"unknown expansion {expansion!r}")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -45,6 +46,7 @@ __all__ = [
     "true_advantage",
     "learn_with_method",
     "run_experiment",
+    "summarize_results",
     "write_results_csv",
     "write_summary_csv",
     "write_timings_csv",
@@ -52,6 +54,7 @@ __all__ = [
 
 N_FEATURES = 4
 FEATURE_NAMES = ("x1", "x2", "x3", "x4")
+SCENARIOS = range(1, 6)  # propensity scenarios
 MAIN_EFFECTS = ("linear", "nonlinear")
 CONTRASTS = ("tree", "nontree")
 DEFAULT_TEST_N = 20_000
@@ -123,7 +126,7 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.propensity_scenario not in range(1, 6):
+        if self.propensity_scenario not in SCENARIOS:
             raise ValueError(
                 f"propensity_scenario must be 1..5, got {self.propensity_scenario}"
             )
@@ -137,7 +140,7 @@ class SimulationSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     def key(self) -> str:
-        """Canonical text form used in seed derivation and result tables."""
+        """Canonical text form of the setting, e.g. "s1-linear-tree-n500"."""
         return (
             f"s{self.propensity_scenario}-{self.main_effect}-{self.contrast}-n{self.n}"
         )
@@ -310,13 +313,24 @@ def _run_single(
             value = empirical_value(evaluate_policy(tree, test_data.x), test_oracle)
             outcome = dict(value=value, regret=optimal - value, tree=tree)
         except Exception as exc:
-            nan = float("nan")
-            outcome = dict(value=nan, regret=nan, error=f"{type(exc).__name__}: {exc}")
-        rows.append(ReplicateResult(
-            *base, n=setting.n, method=method, replicate=rep,
-            seconds=time.perf_counter() - start, **outcome,
-        ))
+            outcome = _failure(exc)
+        rows.append(_row(setting, method, rep, time.perf_counter() - start, **outcome))
     return rows
+
+
+def _row(
+    setting: SimulationSpec, method: str, rep: int, seconds: float, **outcome: object
+) -> ReplicateResult:
+    return ReplicateResult(
+        setting.propensity_scenario, setting.main_effect, setting.contrast, setting.n,
+        method, rep, seconds=seconds, **outcome,
+    )
+
+
+def _failure(exc: BaseException) -> dict:
+    """Row fields of a failed method: NaN value and regret, the error text."""
+    nan = float("nan")
+    return dict(value=nan, regret=nan, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_experiment(
@@ -334,8 +348,10 @@ def run_experiment(
     optimal value once and runs every method on them. Seeds derive from
     (setting, replicate, seed), plus the method name for the learner's own
     seed; the seed field of the settings themselves is ignored. Per-method
-    failures are recorded in the row, not raised. Rows come back ordered by
-    setting, then method, then replicate, whatever threads is.
+    failures are recorded in the row, not raised; so is a pool worker's death,
+    on every method's row of each job that had not finished (seconds NaN).
+    Rows come back ordered by setting, then method, then replicate, whatever
+    threads is.
     """
     if not settings or not methods or replications < 1:
         raise ValueError("need at least one setting, one method, one replication")
@@ -349,7 +365,15 @@ def run_experiment(
                 pool.submit(_run_single, setting, methods, rep, seed, test_n, depth)
                 for setting, rep in jobs
             ]
-            done = [f.result() for f in futures]
+            done = []
+            for future, (setting, rep) in zip(futures, jobs):
+                try:
+                    done.append(future.result())
+                except BrokenProcessPool as exc:  # a worker died; this job never finished
+                    done.append([
+                        _row(setting, method, rep, float("nan"), **_failure(exc))
+                        for method in methods
+                    ])
     else:
         done = [_run_single(setting, methods, rep, seed, test_n, depth) for setting, rep in jobs]
     per_setting = [done[i : i + replications] for i in range(0, len(done), replications)]

@@ -271,6 +271,21 @@ class TestSpacedHeader:
             assert (implicit / name).read_bytes() == (explicit / name).read_bytes(), name
 
 
+class TestByteOrderMark:
+    def test_bom_prefixed_file_reads_like_the_plain_one(self, eval_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + eval_csv.read_bytes())
+        schema = CsvSchema(treatment="treat", outcome="re78", covariates=("a", "b"))
+        plain_data, bom_data = load_csv(eval_csv, schema), load_csv(bom, schema)
+        assert bom_data.feature_names == plain_data.feature_names
+        for name in ("x", "w", "y"):
+            assert getattr(bom_data, name).tobytes() == getattr(plain_data, name).tobytes()
+        plain, prefixed = tmp_path / "plain", tmp_path / "prefixed"
+        assert main(["balance", "--data", str(eval_csv), "--out", str(plain)]) == 0
+        assert main(["balance", "--data", str(bom), "--out", str(prefixed)]) == 0
+        assert (prefixed / "balance.csv").read_bytes() == (plain / "balance.csv").read_bytes()
+
+
 class TestOutputDirEnv:
     def test_env_var_sets_default_out_dir(self, learn_csv, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

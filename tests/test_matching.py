@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbpolicy import (
     MahalanobisMetric,
@@ -8,6 +11,7 @@ from mbpolicy import (
     impute_raw,
     k_pi_counts,
     match_units,
+    search_tree,
 )
 
 from mbpolicy import matching
@@ -135,6 +139,34 @@ class TestMatchUnits:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "unit,rank,matched_index,distance"
         assert len(lines) == 1 + data.n * matches.m
+
+
+class TestArmSwap:
+    """Relabelling w -> 1 - w mirrors matching, the raw score and the tree search."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 79),
+        p=st.integers(1, 4),
+        m=st.integers(1, 3),
+        rounded=st.booleans(),
+    )
+    def test_swap_keeps_matches_and_splits_and_negates_gamma(self, seed, n, p, m, rounded):
+        data = random_dataset(np.random.default_rng(seed), n, p, min_arm=m)
+        if rounded:  # exactly tied distances and outcomes
+            data = replace(data, x=np.round(data.x), y=np.round(data.y))
+        swapped = replace(data, w=1 - data.w)
+        metric = fit_mahalanobis(data.x)
+        matches, mirrored = match_units(data, metric, m), match_units(swapped, metric, m)
+        for name in ("matched_sets", "distances", "k_counts"):
+            assert getattr(mirrored, name).tobytes() == getattr(matches, name).tobytes(), name
+        gamma = impute_raw(data, matches).gamma
+        mirrored_gamma = impute_raw(swapped, mirrored).gamma
+        np.testing.assert_array_equal(mirrored_gamma, -gamma)
+        tree, mirrored_tree = search_tree(data.x, gamma, 2), search_tree(data.x, mirrored_gamma, 2)
+        assert mirrored_tree.features.tobytes() == tree.features.tobytes()
+        assert mirrored_tree.thresholds.tobytes() == tree.thresholds.tobytes()
 
 
 class TestNearest:

@@ -1,4 +1,7 @@
 import csv
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +335,25 @@ class TestMonteCarloEstimateType:
         assert est.value == 0.5 and est.standard_error == 0.01
 
 
+_RUN_SINGLE = simulation._run_single
+_REP0_DONE_ENV = "MBPOLICY_TEST_REP0_DONE"
+
+
+def _worker_dies_on_replicate_1(setting, methods, rep, *args):
+    """_run_single, except that replicate 1's worker exits once replicate 0 has finished."""
+    marker = Path(os.environ[_REP0_DONE_ENV])
+    if rep == 1:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # let replicate 0's rows reach the parent first
+        os._exit(3)
+    rows = _RUN_SINGLE(setting, methods, rep, *args)
+    if rep == 0:
+        marker.touch()
+    return rows
+
+
 class TestOneJobPerReplicate:
     """run_experiment draws each (setting, replicate) once and runs every method on it."""
 
@@ -354,6 +376,21 @@ class TestOneJobPerReplicate:
         # one training set and one test set per (setting, replicate)
         assert len(calls) == 2 * 2 * 2
         assert sorted(c.n for c in calls) == [40] * 4 + [200] * 4
+
+    def test_dead_worker_fails_only_unfinished_jobs(self, monkeypatch, tmp_path):
+        settings, methods = [spec(1, "linear", "tree", n=40)], ["mb-m1", "mb-m5"]
+        serial = run_experiment(settings, methods, 3, seed=5, test_n=200)
+        monkeypatch.setenv(_REP0_DONE_ENV, str(tmp_path / "rep0-done"))
+        monkeypatch.setattr(simulation, "_run_single", _worker_dies_on_replicate_1)
+        rows = run_experiment(settings, methods, 3, seed=5, test_n=200, threads=2)
+        assert [(r.method, r.replicate) for r in rows] == [(r.method, r.replicate) for r in serial]
+        for row, expected in zip(rows, serial):
+            if row.replicate == 0 or not row.error:
+                assert self.fields(row) == self.fields(expected)
+            else:
+                assert row.error.startswith("BrokenProcessPool: ")
+                assert np.isnan(row.value) and np.isnan(row.seconds) and row.tree is None
+        assert all(row.error for row in rows if row.replicate == 1)
 
     def test_failed_draw_fails_every_method(self):
         rows = run_experiment([spec(n=1)], ["mb-m1", "mb-m5"], 1, seed=4, test_n=100)
