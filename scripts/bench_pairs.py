@@ -15,11 +15,13 @@ It runs, in this order:
   pairs, the side that runs first alternating between pairs;
   each record keeps the run's final JSON line, its context line and its
   deterministic output lines;
-- per stage: `match_units` (m=5) and depth-2 `search_tree` on raw m=5
-  matching gamma, on `generate(SimulationSpec(1, "linear", "tree", n,
-  seed=1010))` for n in 200, 500, 1000, 2000; one process per run,
-  alternating sides, each timing one warm-up and three calls per stage and n
-  and keeping their median; the outputs' digests must agree between sides;
+- per stage: `match_units` (m=5), depth-2 `search_tree` on raw m=5
+  matching gamma and `fit_lasso_per_arm` with its defaults, on
+  `generate(SimulationSpec(1, "linear", "tree", n, seed=1010))` for n in
+  200, 500, 1000, 2000; one process per run, alternating sides, each timing
+  one warm-up and three calls per stage and n and keeping their median; the
+  digests of the outputs (matched sets and distances, tree, lasso
+  coefficients and penalties) must agree between sides;
 - `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
 
@@ -45,12 +47,15 @@ PAIRS = 10
 SEEDS = (1, 2)
 STAGE_NS = (200, 500, 1000, 2000)
 STAGE_RUNS = 5
+STAGES = ("match", "search", "lasso")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
-# Runs inside each checkout: prints {"match": {n: s}, "search": {n: s}, "digest": {n: sha}}.
+# Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "digest": {n: sha}}.
 STAGE_CODE = """
 import hashlib, json, statistics, sys, time
-from mbpolicy import LearnConfig, fit_mahalanobis, impute_scores, match_units, search_tree
+from mbpolicy import (
+    LearnConfig, fit_lasso_per_arm, fit_mahalanobis, impute_scores, match_units, search_tree,
+)
 from mbpolicy.simulation import SimulationSpec, generate
 
 def timed(fn):
@@ -62,15 +67,18 @@ def timed(fn):
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
 
-out = {"match": {}, "search": {}, "digest": {}}
+out = {"match": {}, "search": {}, "lasso": {}, "digest": {}}
 for n in map(int, sys.argv[1:]):
     data = generate(SimulationSpec(1, "linear", "tree", n, seed=1010))[0]
     metric = fit_mahalanobis(data.x)
     out["match"][n], matches = timed(lambda: match_units(data, metric, 5))
     gamma = impute_scores(data, LearnConfig(m=5, correction="none")).gamma
     out["search"][n], tree = timed(lambda: search_tree(data.x, gamma, 2))
+    out["lasso"][n], model = timed(lambda: fit_lasso_per_arm(data))
     digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
     digest.update(tree.to_json().encode())
+    digest.update(model.coef0.tobytes() + model.coef1.tobytes())
+    digest.update(repr((model.lambda0, model.lambda1)).encode())
     out["digest"][n] = digest.hexdigest()
 print(json.dumps(out))
 """
@@ -154,13 +162,13 @@ def stages(sides: dict) -> dict:
     out = {
         "fixture": "generate(SimulationSpec(1, 'linear', 'tree', n, seed=1010)), p=4; "
         "match_units(data, fit_mahalanobis(data.x), 5); search_tree(data.x, gamma, 2) with gamma "
-        "from impute_scores(data, LearnConfig(m=5, correction='none'))",
+        "from impute_scores(data, LearnConfig(m=5, correction='none')); fit_lasso_per_arm(data)",
         "runs_per_side": STAGE_RUNS,
         "by_n": {},
     }
     for n in map(str, STAGE_NS):
         entry = {}
-        for stage in ("match", "search"):
+        for stage in STAGES:
             for side in sides:
                 times = [sample[stage][n] for sample in samples[side]]
                 entry[f"{stage}_{side}_median_s"] = statistics.median(times)

@@ -9,6 +9,7 @@ differences, the studentized mean difference per covariate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -245,7 +246,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
                         f"{path}: row {row_num}, column {colname!r}: "
                         f"could not parse {cell!r} as a number"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValueError(
                         f"{path}: row {row_num}, column {colname!r}: non-finite value {cell!r}"
                     )

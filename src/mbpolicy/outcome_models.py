@@ -4,13 +4,16 @@ Two fitting routes: ordinary least squares on (1, X), and lasso on the
 quadratic expansion (1, X, squares, pairwise interactions) along a
 warm-started descending penalty grid, the penalty chosen by seeded k-fold
 cross-validation. Each penalty step first solves the lasso exactly on the
-support and signs of its warm start (the previous step's solution). If that
-solution is not verified, cyclic coordinate descent (CD) with soft-thresholding
-runs, and after each cycle one more sign pattern is solved: the CD iterate's
-signs when they changed, else one active-set move from the last rejected solve
-(drop the coefficient that first crosses zero, or add the worst KKT violator).
-A step's coefficients are the first KKT-verified exact solution found, and CD
-converged to CD_TOL otherwise; a step that runs out of CD_MAX_CYCLES issues a
+support and signs of its warm start (the previous step's solution), with the
+warm start's objective at the new penalty as a ceiling. That objective is
+quad + lambda * l1, and a step that ends on an exact solve hands its quad and
+l1 on, so the next step's ceiling costs one multiply-add. If that solution is
+not verified, cyclic coordinate descent (CD) with soft-thresholding runs, and
+after each cycle one more sign pattern is solved: the CD iterate's signs when
+they changed, else one active-set move from the last rejected solve (drop the
+coefficient that first crosses zero, or add the worst KKT violator). A step's
+coefficients are the first KKT-verified exact solution found, and CD converged
+to CD_TOL otherwise; a step that runs out of CD_MAX_CYCLES issues a
 RuntimeWarning.
 
 CV folds are plain seeded shuffles (not treatment-stratified; fits are
@@ -174,13 +177,20 @@ def _soft(value: float, threshold: float) -> float:
     return 0.0
 
 
+def _fit_terms(
+    beta: np.ndarray, gram_beta: np.ndarray, corr: np.ndarray, y2: float
+) -> tuple[float, float]:
+    """(quad, l1) of beta: its objective at penalty lam is quad + lam * l1."""
+    quad = 0.5 * (y2 - 2.0 * float(corr @ beta) + float(beta @ gram_beta))
+    return quad, float(abs(beta).sum())
+
+
 def _objective(
     beta: np.ndarray, gram_beta: np.ndarray, corr: np.ndarray, y2: float, lam: float
 ) -> float:
     """(1/(2n))||yc - xs beta||^2 + lam ||beta||_1 from the Gram-form pieces."""
-    return 0.5 * (y2 - 2.0 * float(corr @ beta) + float(beta @ gram_beta)) + lam * float(
-        np.sum(np.abs(beta))
-    )
+    quad, l1 = _fit_terms(beta, gram_beta, corr, y2)
+    return quad + lam * l1
 
 
 def _solve_pattern(
@@ -189,33 +199,41 @@ def _solve_pattern(
     y2: float,
     lam: float,
     signs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """The exact solve of `_exact_on_support`: (b, gradient corr - G b, value).
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
+    """The exact solve of `_exact_on_support`: (b, gradient corr - G b, terms).
 
-    value is b's objective if sign(b) == signs and the KKT conditions hold,
-    else None; `_accepts` compares it with a ceiling.
+    terms is b's `_fit_terms` if sign(b) == signs and the KKT conditions
+    hold, else None; `_accepts` compares the objective they give with a
+    ceiling. The checks run in that order and stop at the first that fails.
     """
-    support = signs != 0.0
+    on = signs.nonzero()[0]
     b = np.zeros(len(signs))
-    if support.any():
-        b[support] = np.linalg.lstsq(
-            gram[support][:, support], corr[support] - lam * signs[support], rcond=None
+    if len(on):
+        b[on] = np.linalg.lstsq(
+            gram.take(on, 0).take(on, 1), corr[on] - lam * signs[on], rcond=None
         )[0]
     gram_b = gram @ b
     grad = corr - gram_b
+    if not (np.sign(b) == signs).all():
+        return b, grad, None
+    # the breach is |grad - lam s| on the support and |grad| off it (lam is
+    # finite); a support entry within tol is also within lam + tol, so the
+    # off-support bound can be checked on every live column
     tol = KKT_TOL * max(1.0, lam)
-    off = ~support & (np.diag(gram) > 0.0)
-    checked = bool(
-        np.array_equal(np.sign(b), signs)
-        and np.all(np.abs(grad[support] - lam * signs[support]) <= tol)
-        and np.all(np.abs(grad[off]) <= lam + tol)
-    )
-    return b, grad, _objective(b, gram_b, corr, y2, lam) if checked else None
+    breach = abs(grad - lam * signs)
+    if not (
+        (breach[on] <= tol).all() and (breach[gram.diagonal() > 0.0] <= lam + tol).all()
+    ):
+        return b, grad, None
+    return b, grad, _fit_terms(b, gram_b, corr, y2)
 
 
-def _accepts(value: float | None, ceiling: float) -> bool:
-    """Whether a checked solve's objective is at most ``ceiling`` (1e-10 relative slack)."""
-    return value is not None and value <= ceiling + 1e-10 * max(1.0, abs(ceiling))
+def _accepts(terms: tuple[float, float] | None, lam: float, ceiling: float) -> bool:
+    """Whether a checked solve's objective at lam is at most ``ceiling`` (1e-10 slack)."""
+    if terms is None:
+        return False
+    quad, l1 = terms
+    return quad + lam * l1 <= ceiling + 1e-10 * max(1.0, abs(ceiling))
 
 
 def _exact_on_support(
@@ -234,8 +252,8 @@ def _exact_on_support(
     KKT_TOL * max(1, lam) on A and on the live columns off A, and its objective
     is at most ``ceiling`` (with the 1e-10 relative slack of the CD check).
     """
-    b, _, value = _solve_pattern(gram, corr, y2, lam, signs)
-    return b if _accepts(value, ceiling) else None
+    b, _, terms = _solve_pattern(gram, corr, y2, lam, signs)
+    return b if _accepts(terms, lam, ceiling) else None
 
 
 def _moved_pattern(
@@ -277,17 +295,22 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     """Lasso solutions for centered data along a descending penalty grid.
 
     Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each step first tries
-    `_exact_on_support` with the warm start's signs, its objective at the new
-    penalty as the ceiling; a verified solution ends the step with no CD
-    cycle. Otherwise Gram-cached coordinate descent runs, the penalized
-    objective asserted non-increasing on every full cycle, and each cycle that
-    misses CD_TOL tries one pattern: the iterate's signs if they changed since
-    the last pattern taken from CD (at first the warm start's), else
+    `_exact_on_support` with the warm start's signs, its objective at the
+    new penalty as the ceiling; a verified solution ends the step with no
+    CD cycle. The ceiling is quad + lambda * l1 from the warm start's
+    `_fit_terms`, carried from the solve that ended the previous step; only
+    after a step that CD ended are they formed from G beta again, and only
+    when the warm solve passed its checks. The CD state (G beta and the
+    step's solved patterns) is built only for a step that CD enters. There,
+    Gram-cached coordinate descent runs, the penalized objective asserted
+    non-increasing on every full cycle, and each cycle that misses CD_TOL
+    tries one pattern: the iterate's signs if they changed since the last
+    pattern taken from CD (at first the warm start's), else
     `_moved_pattern` of the last rejected solve. A pattern met again in the
     same step reuses its solve, compared with the new ceiling, instead of
-    solving again. A verified solution ends the step. A step that runs out of
-    CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of shape
-    (len(lambdas), k).
+    solving again. A verified solution ends the step. A step that runs out
+    of CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of
+    shape (len(lambdas), k).
     """
     n, k = xs.shape
     gram = xs.T @ xs / n
@@ -296,16 +319,22 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     diag = np.diag(gram).copy()
     live = diag > 0.0
     beta = np.zeros(k)
+    warm = None  # beta's `_fit_terms` when known
     out = np.empty((len(lambdas), k))
     for step, lam in enumerate(lambdas):
-        q = gram @ beta  # refresh to stop incremental drift accumulating across steps
         from_cd = np.sign(beta)
         pattern = from_cd
-        b, grad, value = _solve_pattern(gram, corr, y2, lam, pattern)
-        solved = {pattern.tobytes(): (b, grad, value)}  # each pattern is solved once a step
-        if _accepts(value, _objective(beta, q, corr, y2, lam)):
-            out[step] = beta = b
-            continue
+        b, grad, terms = _solve_pattern(gram, corr, y2, lam, pattern)
+        if terms is not None:
+            if warm is None:
+                warm = _fit_terms(beta, gram @ beta, corr, y2)
+            if _accepts(terms, lam, warm[0] + lam * warm[1]):
+                out[step] = beta = b
+                warm = terms
+                continue
+        warm = None
+        q = gram @ beta  # refresh to stop incremental drift accumulating across steps
+        solved = {pattern.tobytes(): (b, grad, terms)}  # each pattern is solved once a step
         prev_obj = np.inf
         for _ in range(CD_MAX_CYCLES):
             max_delta = 0.0
@@ -337,9 +366,9 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
             key = pattern.tobytes()
             if key not in solved:
                 solved[key] = _solve_pattern(gram, corr, y2, lam, pattern)
-            b, grad, value = solved[key]
-            if _accepts(value, obj):
-                beta = b
+            b, grad, terms = solved[key]
+            if _accepts(terms, lam, obj):
+                beta, warm = b, terms
                 break
         else:
             warnings.warn(
@@ -364,6 +393,8 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
+    if not np.isfinite(grid).all():
+        raise ValueError("lambda grid must be finite")
     if np.any(grid < 0):
         raise ValueError("lambda grid must be nonnegative")
     if grid.size > 1 and np.any(np.diff(grid) >= 0):

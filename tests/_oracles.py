@@ -7,8 +7,10 @@ oracle enumerates every candidate tree with plain masking and Python sums, the
 masked root search re-solves both depth-1 children of every root split, the
 ordered-pair root scorer builds one whole prefix-sum table per (root, child)
 feature pair, the lasso oracle runs plain cyclic coordinate descent to its
-tolerance, and the CD-then-exact lasso oracle tries an exact solve only when
-the coordinate descent iterate's signs change.
+tolerance, the CD-then-exact lasso oracle tries an exact solve only when
+the coordinate descent iterate's signs change, and the pattern-first lasso
+oracle is the library's step loop before it carried objective terms between
+steps.
 Slow on purpose; correctness reference only.
 """
 
@@ -22,7 +24,9 @@ from mbpolicy import ObservationalDataset, TreePolicy
 from mbpolicy.outcome_models import (
     CD_MAX_CYCLES,
     CD_TOL,
+    KKT_TOL,
     _exact_on_support,
+    _moved_pattern,
     _objective,
 )
 
@@ -281,6 +285,136 @@ def cd_exact_lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> 
             exact = _exact_on_support(gram, corr, y2, lam, signs, obj)
             if exact is not None:
                 beta = exact
+                break
+        else:
+            warnings.warn(
+                f"lasso penalty step {step} (lambda={float(lam)!r}) did not converge "
+                f"in {CD_MAX_CYCLES} cycles; last max coefficient change "
+                f"{float(max_delta)!r}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        out[step] = beta
+    return out
+
+
+# The step loop as it was before it carried the warm start's objective terms
+# from step to step and short-circuited the pattern checks: `_lasso_path`,
+# `_solve_pattern`, `_accepts` and `_objective` copied unchanged but for their
+# names. The library's loop must give the same bytes.
+
+
+def _value_objective(
+    beta: np.ndarray, gram_beta: np.ndarray, corr: np.ndarray, y2: float, lam: float
+) -> float:
+    """(1/(2n))||yc - xs beta||^2 + lam ||beta||_1 from the Gram-form pieces."""
+    return 0.5 * (y2 - 2.0 * float(corr @ beta) + float(beta @ gram_beta)) + lam * float(
+        np.sum(np.abs(beta))
+    )
+
+
+def pattern_solve(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    y2: float,
+    lam: float,
+    signs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """The exact solve of `_exact_on_support`: (b, gradient corr - G b, value).
+
+    value is b's objective if sign(b) == signs and the KKT conditions hold,
+    else None; `_value_accepts` compares it with a ceiling.
+    """
+    support = signs != 0.0
+    b = np.zeros(len(signs))
+    if support.any():
+        b[support] = np.linalg.lstsq(
+            gram[support][:, support], corr[support] - lam * signs[support], rcond=None
+        )[0]
+    gram_b = gram @ b
+    grad = corr - gram_b
+    tol = KKT_TOL * max(1.0, lam)
+    off = ~support & (np.diag(gram) > 0.0)
+    checked = bool(
+        np.array_equal(np.sign(b), signs)
+        and np.all(np.abs(grad[support] - lam * signs[support]) <= tol)
+        and np.all(np.abs(grad[off]) <= lam + tol)
+    )
+    return b, grad, _value_objective(b, gram_b, corr, y2, lam) if checked else None
+
+
+def _value_accepts(value: float | None, ceiling: float) -> bool:
+    """Whether a checked solve's objective is at most ``ceiling`` (1e-10 relative slack)."""
+    return value is not None and value <= ceiling + 1e-10 * max(1.0, abs(ceiling))
+
+
+def pattern_first_lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Lasso solutions for centered data along a descending penalty grid.
+
+    Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each step first tries
+    `_exact_on_support` with the warm start's signs, its objective at the new
+    penalty as the ceiling; a verified solution ends the step with no CD
+    cycle. Otherwise Gram-cached coordinate descent runs, the penalized
+    objective asserted non-increasing on every full cycle, and each cycle that
+    misses CD_TOL tries one pattern: the iterate's signs if they changed since
+    the last pattern taken from CD (at first the warm start's), else
+    `_moved_pattern` of the last rejected solve. A pattern met again in the
+    same step reuses its solve, compared with the new ceiling, instead of
+    solving again. A verified solution ends the step. A step that runs out of
+    CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of shape
+    (len(lambdas), k).
+    """
+    n, k = xs.shape
+    gram = xs.T @ xs / n
+    corr = xs.T @ yc / n
+    y2 = float(yc @ yc) / n
+    diag = np.diag(gram).copy()
+    live = diag > 0.0
+    beta = np.zeros(k)
+    out = np.empty((len(lambdas), k))
+    for step, lam in enumerate(lambdas):
+        q = gram @ beta  # refresh to stop incremental drift accumulating across steps
+        from_cd = np.sign(beta)
+        pattern = from_cd
+        b, grad, value = pattern_solve(gram, corr, y2, lam, pattern)
+        solved = {pattern.tobytes(): (b, grad, value)}  # each pattern is solved once a step
+        if _value_accepts(value, _value_objective(beta, q, corr, y2, lam)):
+            out[step] = beta = b
+            continue
+        prev_obj = np.inf
+        for _ in range(CD_MAX_CYCLES):
+            max_delta = 0.0
+            for j in range(k):
+                if diag[j] <= 0.0:
+                    continue  # zero-variance column stays at coefficient 0
+                rho = corr[j] - q[j] + diag[j] * beta[j]
+                new = _soft(rho, lam) / diag[j]
+                delta = new - beta[j]
+                if delta != 0.0:
+                    q += delta * gram[:, j]
+                    beta[j] = new
+                    max_delta = max(max_delta, abs(delta))
+            obj = _value_objective(beta, q, corr, y2, lam)
+            if obj > prev_obj + 1e-10 * max(1.0, abs(prev_obj)):
+                raise AssertionError(
+                    f"penalized objective increased within a cycle: {prev_obj} -> {obj}"
+                )
+            prev_obj = obj
+            if max_delta < CD_TOL:
+                break
+            signs = np.sign(beta)
+            if not np.array_equal(signs, from_cd):
+                from_cd = pattern = signs
+            elif pattern is not None:
+                pattern = _moved_pattern(beta, pattern, b, grad, lam, live)
+            if pattern is None:
+                continue  # nothing new to try until CD's signs change
+            key = pattern.tobytes()
+            if key not in solved:
+                solved[key] = pattern_solve(gram, corr, y2, lam, pattern)
+            b, grad, value = solved[key]
+            if _value_accepts(value, obj):
+                beta = b
                 break
         else:
             warnings.warn(

@@ -49,6 +49,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2.*'y'"):
             load_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize("cell,row,column", [("nan", 2, "y"), ("-Infinity", 1, "b")])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, row, column):
+        rows = [["1", "5.0", "0", "10"], ["0", "4.0", "1", "11"]]
+        rows[row - 1][1 if column == "y" else 3] = cell
+        path = write_csv(tmp_path, "w,y,a,b\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(
+            ValueError, match=rf"row {row}, column '{column}': non-finite value '{cell}'"
+        ):
+            load_csv(path, SCHEMA)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", SCHEMA)

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import warnings
 from pathlib import Path
 
@@ -511,3 +512,93 @@ class TestNoRepeatSolves:
         fit_lasso_per_arm(data)
         assert len(paths) == 12  # five CV folds and one refit per arm
         assert len(solves) == len(set(solves)) > 1000
+
+
+def test_non_finite_penalties_rejected():
+    data = two_arm_data(
+        np.arange(6.0), np.arange(6.0), np.arange(6.0) + 0.5, np.arange(6.0)
+    )
+    for grid in ([np.nan], [np.inf], [1.0, np.nan, 0.1], [np.inf, 1.0], [-np.inf]):
+        with pytest.raises(ValueError, match="lambda grid must be finite"):
+            fit_lasso_per_arm(data, lambda_grid=np.array(grid), folds=2)
+
+
+def eight_covariate_arm_designs():
+    """Per-arm quadratic expansions of all eight study covariates (rank-deficient)."""
+    rows, header = nsw_rows()
+    x, treat, y = rows[:, 1:9], rows[:, 0], rows[:, 9]
+    return [(expand_features(x[treat == w], "quadratic"), y[treat == w]) for w in (0, 1)]
+
+
+def reference_design(kind, seed):
+    if kind == "earnings":
+        return earnings_design(seed)
+    if kind == "gaussian":
+        return gaussian_design(seed)
+    if kind == "study":
+        return study_arm_designs()[seed]
+    return eight_covariate_arm_designs()[seed]
+
+
+class TestStepLoopReference:
+    """The step loop against its earlier form, kept in `_oracles`: equal bytes."""
+
+    @pytest.mark.parametrize(
+        "kind,seed", TestPatternFirstSteps.DESIGNS + [("eight", arm) for arm in (0, 1)]
+    )
+    def test_path_bytes_equal(self, kind, seed):
+        features, y = reference_design(kind, seed)
+        xs, _, _ = _standardize(features)
+        yc = y - y.mean()
+        grid = default_lambda_grid(features, y)
+        path = _lasso_path(xs, yc, grid)
+        assert path.tobytes() == _oracles.pattern_first_lasso_path(xs, yc, grid).tobytes()
+
+    @pytest.mark.parametrize("kind,seed", [("gaussian", 0), ("gaussian", 3), ("eight", 0)])
+    def test_pattern_solve_equal(self, kind, seed, monkeypatch):
+        # every pattern the path solves, the path's patterns with one entry
+        # set to -1 or +1 (on these rank-deficient designs some fail each
+        # check), random ones, the empty one and lambda = 0; the zero column
+        # is one that the off-support check skips
+        features, y = reference_design(kind, seed)
+        features = np.column_stack([features, np.zeros(len(y))])
+        xs, _, _ = _standardize(features)
+        yc = y - y.mean()
+        gram, corr, y2 = lasso_parts(xs, yc)
+        grid = default_lambda_grid(features, y)
+        cases = []
+        solve_pattern = outcome_models._solve_pattern
+
+        def recorded_solve(gram, corr, y2, lam, signs):
+            cases.append((lam, signs.copy()))
+            return solve_pattern(gram, corr, y2, lam, signs)
+
+        monkeypatch.setattr(outcome_models, "_solve_pattern", recorded_solve)
+        path = _lasso_path(xs, yc, grid)
+        monkeypatch.undo()
+        rng = np.random.default_rng([185, seed])
+        k = xs.shape[1]
+        for lam, beta in zip(grid[::5], path[::5]):
+            for j, sign in itertools.product(range(k), (-1.0, 1.0)):
+                signs = np.sign(beta)
+                signs[j] = sign
+                cases.append((lam, signs))
+        cases += [(lam, np.zeros(k)) for lam in (0.0, grid[0], grid[-1])]
+        for lam in np.concatenate([[0.0], grid[::7]]):
+            cases += [(lam, rng.integers(-1, 2, size=k).astype(float)) for _ in range(6)]
+        first_failed = set()
+        for lam, signs in cases:
+            b, grad, terms = solve_pattern(gram, corr, y2, lam, signs)
+            ref_b, ref_grad, ref_value = _oracles.pattern_solve(gram, corr, y2, lam, signs)
+            assert b.tobytes() == ref_b.tobytes() and grad.tobytes() == ref_grad.tobytes()
+            value = None if terms is None else terms[0] + lam * terms[1]
+            assert repr(value) == repr(ref_value)
+            on = signs != 0.0
+            tol = outcome_models.KKT_TOL * max(1.0, lam)
+            if not np.array_equal(np.sign(b), signs):
+                first_failed.add("signs")
+            elif not np.all(np.abs(grad[on] - lam * signs[on]) <= tol):
+                first_failed.add("support KKT")
+            else:
+                first_failed.add("off-support KKT" if value is None else None)
+        assert first_failed == {"signs", "support KKT", "off-support KKT", None}
