@@ -11,9 +11,10 @@ It runs, in this order:
 
 - end to end, for every workload W of BENCHMARK.json and each workload
   seed S in SEEDS: `bench/run.py --workload W --seed S --seconds T --trace 0`,
-  T being BENCHMARK.json's run_seconds, in PAIRS alternating parent/change
-  pairs, the side that runs first alternating between pairs;
-  each record keeps the run's final JSON line, its context line and its
+  T being BENCHMARK.json's run_seconds, in PAIRS parent/change pairs; each
+  pair runs every seed and workload, so a slow phase of the machine lands on
+  both seeds, and the side that runs first alternates between pairs; each
+  record keeps the run's final JSON line, its context line and its
   deterministic output lines;
 - per stage: `match_units` (m=5), depth-2 `search_tree` on raw m=5
   matching gamma and `fit_lasso_per_arm` with its defaults, on
@@ -120,16 +121,8 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def end_to_end(sides: dict, workloads: list[str], seed: int, seconds: float) -> dict:
-    records = {workload: [] for workload in workloads}
-    for pair in range(PAIRS):
-        order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
-        for workload in workloads:
-            for side in order:
-                record = bench_run(sides[side], workload, seed, seconds)
-                records[workload].append({"pair": pair + 1, "side": side, **record})
-                print(f"seed {seed} pair {pair + 1} {workload} {side}: "
-                      f"{json.dumps(record['result'])}", flush=True)
+def summarize(sides: dict, records: dict) -> dict:
+    """Per workload: spread of each metric per side, pairs won, failures, output lines."""
     summary = {}
     for workload, runs in records.items():
         by_side = {side: [r for r in runs if r["side"] == side] for side in sides}
@@ -146,10 +139,28 @@ def end_to_end(sides: dict, workloads: list[str], seed: int, seconds: float) -> 
             s: sorted({line for r in by_side[s] for line in r["deterministic"]}) for s in sides
         }
         summary[workload] = entry
+    return summary
+
+
+def end_to_end(sides: dict, workloads: list[str], seconds: float) -> dict:
+    """Runs and summaries keyed by seed; each pair runs both seeds."""
+    records = {seed: {workload: [] for workload in workloads} for seed in SEEDS}
+    for pair in range(PAIRS):
+        order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
+        for seed in SEEDS:
+            for workload in workloads:
+                for side in order:
+                    record = bench_run(sides[side], workload, seed, seconds)
+                    records[seed][workload].append({"pair": pair + 1, "side": side, **record})
+                    print(f"seed {seed} pair {pair + 1} {workload} {side}: "
+                          f"{json.dumps(record['result'])}", flush=True)
     return {
-        "command": f"python3 bench/run.py --workload W --seed {seed} --seconds {seconds:g} --trace 0",
-        "summary": summary,
-        "pairs": records,
+        str(seed): {
+            "command": f"python3 bench/run.py --workload W --seed {seed} --seconds {seconds:g} --trace 0",
+            "summary": summarize(sides, records[seed]),
+            "pairs": records[seed],
+        }
+        for seed in SEEDS
     }
 
 
@@ -213,9 +224,7 @@ def main() -> int:
         "change": git["change"],
         "summary": args.summary,
     }
-    report["end_to_end"] = {
-        str(seed): end_to_end(sides, workloads, seed, benchmark["run_seconds"]) for seed in SEEDS
-    }
+    report["end_to_end"] = end_to_end(sides, workloads, benchmark["run_seconds"])
     context = next(iter(report["end_to_end"].values()))["pairs"][workloads[0]][0]["context"]
     report["machine"] = {k: context[k] for k in ("nproc", "cpu", "python", "numpy", "blas_threads")}
     report["stages"] = stages(sides)

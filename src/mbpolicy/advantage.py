@@ -9,7 +9,9 @@ removed by regression-adjusted imputation, and doubly robust AIPW scores
 for the comparison baseline.
 
 Policies enter every routine as precomputed 0/1 assignment vectors, keeping
-the estimators independent of any particular policy representation.
+the estimators independent of any particular policy representation. Mean
+functions are vectorized: mu(x, w) takes the (n, p) covariate matrix and an
+arm and returns one value per row.
 """
 
 from __future__ import annotations
@@ -88,17 +90,38 @@ def _signed(assignments: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mu_matrix(
-    mu: Callable[[np.ndarray, int], object], x: np.ndarray, w: int
+    mu: Callable[[np.ndarray, int], np.ndarray], x: np.ndarray, w: int
 ) -> np.ndarray:
-    """Evaluate a mean function on every row of x for a fixed arm.
+    """Evaluate a vectorized mean function on every row of x for a fixed arm.
 
-    Accepts either vectorized callables (matrix in, length-n out) or scalar
-    callables (single row in, real out).
+    mu(x, w) takes the (n, p) matrix and must return one value per row.
     """
     result = np.asarray(mu(x, w), dtype=float)
-    if result.shape == (x.shape[0],):
-        return result
-    return np.array([float(mu(x[i], w)) for i in range(x.shape[0])])
+    if result.shape != (x.shape[0],):
+        raise ValueError(
+            f"mean function must return {x.shape[0]} values for arm {w}, "
+            f"got shape {result.shape}"
+        )
+    return result
+
+
+def _discrepancy(
+    data: ObservationalDataset,
+    matches: MatchResult,
+    signs: np.ndarray,
+    mu0: np.ndarray,
+    mu1: np.ndarray,
+) -> float:
+    """b_m = (1/n) sum (2W_i-1)(2 pi_i - 1)(1/M) sum_j (mu(X_i,1-W_i) - mu(X_j,1-W_i)).
+
+    mu0 and mu1 are the mean function at every row for arm 0 and arm 1. A
+    matched unit sits in the opposite arm, so mu(X_j, 1-W_i) is its own-arm mean.
+    """
+    w = data.w
+    w_signs = 2.0 * w.astype(float) - 1.0
+    mu_other = np.where(w == 1, mu0, mu1)
+    mu_match = np.where(w == 1, mu1, mu0)[matches.matched_sets].mean(axis=1)
+    return float(np.mean(w_signs * signs * (mu_other - mu_match)))
 
 
 def advantage_estimate(
@@ -130,7 +153,7 @@ def decompose_advantage(
     data: ObservationalDataset,
     matches: MatchResult,
     assignments: np.ndarray,
-    true_mu: Callable[[np.ndarray, int], object],
+    true_mu: Callable[[np.ndarray, int], np.ndarray],
 ) -> AdvantageDecomposition:
     """Split the raw matching estimate into signal, noise, and discrepancy terms.
 
@@ -153,11 +176,7 @@ def decompose_advantage(
     eps = data.y - mu_own
     k_pi = k_pi_counts(matches, assignments).astype(float)
     e_m = float(np.mean(w_signs * (signs + k_pi / matches.m) * eps))
-
-    # mu at a unit's opposite arm, and at its matches' own arm (same arm index)
-    mu_other = np.where(w == 1, mu0, mu1)
-    mu_match = mu_own[matches.matched_sets].mean(axis=1)
-    b_m = float(np.mean(w_signs * signs * (mu_other - mu_match)))
+    b_m = _discrepancy(data, matches, signs, mu0, mu1)
 
     return AdvantageDecomposition(
         a_bar=a_bar, e_m=e_m, b_m=b_m, total=a_bar + e_m + b_m
@@ -178,19 +197,15 @@ def estimate_conditional_bias(
     """
     signs = _signed(assignments, data.n)
     _check_fresh(data, matches)
-    w_signs = 2.0 * data.w.astype(float) - 1.0
-    mu_hat_0 = predict_matrix(model, data.x, 0)
-    mu_hat_1 = predict_matrix(model, data.x, 1)
-    mu_hat_other = np.where(data.w == 1, mu_hat_0, mu_hat_1)
-    mu_hat_own = np.where(data.w == 1, mu_hat_1, mu_hat_0)
-    mu_hat_match = mu_hat_own[matches.matched_sets].mean(axis=1)
-    return float(np.mean(w_signs * signs * (mu_hat_other - mu_hat_match)))
+    mu0 = predict_matrix(model, data.x, 0)
+    mu1 = predict_matrix(model, data.x, 1)
+    return _discrepancy(data, matches, signs, mu0, mu1)
 
 
 def aipw_scores(
     data: ObservationalDataset,
     e_hat: np.ndarray,
-    mu_hat: Callable[[np.ndarray, int], object],
+    mu_hat: Callable[[np.ndarray, int], np.ndarray],
 ) -> AipwScores:
     """Doubly robust per-unit scores from plug-in propensities and regressions.
 

@@ -82,14 +82,19 @@ BUDGETS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer flag >= low; any other value is a usage error."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return value
+
+    return convert
 
 
 def _sha256(path: Path) -> str:
@@ -418,39 +423,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     depths = range(1, MAX_DEPTH + 1)
     learn_defaults = LearnConfig()
+    positive, at_least_two = _int_at_least(1), _int_at_least(2)
 
     sim = sub.add_parser("simulate", help="replicated simulation runs on one setting")
     sim.add_argument("--scenario", type=int, choices=SCENARIOS, required=True)
     sim.add_argument("--main", choices=MAIN_EFFECTS, required=True)
     sim.add_argument("--contrast", choices=CONTRASTS, required=True)
-    sim.add_argument("--n", type=_positive_int, required=True, help="training size")
+    sim.add_argument("--n", type=positive, required=True, help="training size")
     sim.add_argument(
         "--method",
         default="mb-lasso-m5",
         help=f"comma-separated methods from {sorted(METHODS)}",
     )
-    sim.add_argument("--reps", type=_positive_int, default=50)
+    sim.add_argument("--reps", type=positive, default=50)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--test-n", type=_positive_int, default=DEFAULT_TEST_N)
+    sim.add_argument("--test-n", type=positive, default=DEFAULT_TEST_N)
     sim.add_argument("--depth", type=int, choices=depths, default=2)
-    sim.add_argument("--threads", type=_positive_int, default=1)
+    sim.add_argument("--threads", type=positive, default=1)
     sim.add_argument("--out", default="", help=f"output dir (or ${OUT_DIR_ENV})")
     sim.set_defaults(func=cmd_simulate)
 
     rep = sub.add_parser("replicate", help="bundled simulation grids")
     rep.add_argument("--budget", choices=sorted(BUDGETS), default="desk")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--test-n", type=_positive_int, default=DEFAULT_TEST_N)
-    rep.add_argument("--threads", type=_positive_int, default=1)
+    rep.add_argument("--test-n", type=positive, default=DEFAULT_TEST_N)
+    rep.add_argument("--threads", type=positive, default=1)
     rep.add_argument("--out", default="")
     rep.set_defaults(func=cmd_replicate)
 
     learn = sub.add_parser("learn", help="learn a tree policy from a CSV")
     _add_data_flags(learn)
-    learn.add_argument("--m", type=_positive_int, default=learn_defaults.m, help="matches per unit")
+    learn.add_argument("--m", type=positive, default=learn_defaults.m, help="matches per unit")
     learn.add_argument("--correction", choices=CORRECTIONS, default=learn_defaults.correction)
     learn.add_argument("--depth", type=int, choices=depths, default=learn_defaults.depth)
-    learn.add_argument("--lasso-folds", type=_positive_int, default=learn_defaults.lasso_folds)
+    learn.add_argument("--lasso-folds", type=at_least_two, default=learn_defaults.lasso_folds)
     learn.add_argument("--seed", type=int, default=learn_defaults.seed)
     learn.add_argument("--out", default="")
     learn.set_defaults(func=cmd_learn)
@@ -464,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--cv", action="store_true", help="cross-validated learner value")
     ev.add_argument("--method", choices=sorted(METHODS), default="mb-lasso-m5")
-    ev.add_argument("--folds", type=_positive_int, default=5)
-    ev.add_argument("--repeats", type=_positive_int, default=100)
+    ev.add_argument("--folds", type=at_least_two, default=5)
+    ev.add_argument("--repeats", type=positive, default=100)
     ev.add_argument("--depth", type=int, choices=depths, default=2)
     ev.add_argument(
         "--propensity",

@@ -51,19 +51,15 @@ def arm_proportion_propensity(data: ObservationalDataset) -> np.ndarray:
     return np.full(data.n, data.n_treated / data.n)
 
 
-def fit_linear_probability(
-    data: ObservationalDataset, ridge: float = LINPROB_RIDGE
-) -> np.ndarray:
+def fit_linear_probability(data: ObservationalDataset) -> np.ndarray:
     """Fitted P(W=1 | X) from a ridge-regularized linear-probability regression.
 
-    Slopes are penalized on standardized covariates (intercept free); fitted
-    values are clipped to LINPROB_CLIP. A deliberately simple observational
-    plug-in for evaluation baselines.
+    Slopes are penalized by LINPROB_RIDGE on standardized covariates
+    (intercept free); fitted values are clipped to LINPROB_CLIP. A
+    deliberately simple observational plug-in for evaluation baselines.
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
     design = np.hstack([np.ones((data.n, 1)), _standardize(data.x)[0]])
-    penalty = ridge * np.eye(design.shape[1])
+    penalty = LINPROB_RIDGE * np.eye(design.shape[1])
     penalty[0, 0] = 0.0
     coef = np.linalg.solve(design.T @ design + data.n * penalty, design.T @ data.w)
     return np.clip(design @ coef, *LINPROB_CLIP)
@@ -73,7 +69,7 @@ def aipw_value_estimate(
     data: ObservationalDataset,
     assignments: np.ndarray,
     e_hat: np.ndarray,
-    mu_hat: Callable[[np.ndarray, int], object],
+    mu_hat: Callable[[np.ndarray, int], np.ndarray],
 ) -> float:
     """Doubly robust estimate of the mean outcome under the given assignments.
 
@@ -110,7 +106,6 @@ class CrossValReport:
     std: float
     folds: int
     repeats: int
-    seed: int
     failures: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -134,7 +129,7 @@ def cross_validate(
     repeats: int = 100,
     seed: int = 0,
     e_hat: np.ndarray | None = None,
-    mu_hat: Callable[[np.ndarray, int], object] | None = None,
+    mu_hat: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> CrossValReport:
     """Repeatedly split, learn on the training folds, value the held-out fold.
 
@@ -187,6 +182,5 @@ def cross_validate(
         std=std,
         folds=folds,
         repeats=repeats,
-        seed=seed,
         failures=tuple(failures),
     )

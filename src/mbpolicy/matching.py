@@ -4,7 +4,8 @@ Each unit is matched to the M nearest opposite-arm units under a supplied
 metric (exact brute-force scan, ties broken by smallest unit index, the
 m nearest found by partial selection rather than a sort of every row). The
 matched sets drive two imputations of the missing potential outcome: the raw
-matched-outcome mean and a regression-adjusted (bias-corrected) variant.
+matched-outcome mean and a regression-adjusted (bias-corrected) one. Both keep
+each unit's observed outcome and differ only in the counterfactual they fill in.
 """
 
 from __future__ import annotations
@@ -69,11 +70,8 @@ class ImputedPotentialOutcomes:
     y0: np.ndarray
     y1: np.ndarray
     gamma: np.ndarray
-    variant: str
 
     def __post_init__(self) -> None:
-        if self.variant not in ("raw", "bias_corrected"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         y0 = np.asarray(self.y0, dtype=float)
         y1 = np.asarray(self.y1, dtype=float)
         gamma = np.asarray(self.gamma, dtype=float)
@@ -154,15 +152,19 @@ def _check_fresh(data: ObservationalDataset, matches: MatchResult) -> None:
         raise ValueError("MatchResult arms inconsistent with dataset (stale match)")
 
 
+def _imputed(data: ObservationalDataset, counterfactual: np.ndarray) -> ImputedPotentialOutcomes:
+    """Observed outcome on each unit's own arm, the counterfactual on the other."""
+    y0 = np.where(data.w == 0, data.y, counterfactual)
+    y1 = np.where(data.w == 1, data.y, counterfactual)
+    return ImputedPotentialOutcomes(y0=y0, y1=y1, gamma=y1 - y0)
+
+
 def impute_raw(
     data: ObservationalDataset, matches: MatchResult
 ) -> ImputedPotentialOutcomes:
     """Impute the counterfactual outcome as the unweighted mean over the matched set."""
     _check_fresh(data, matches)
-    counterfactual = data.y[matches.matched_sets].mean(axis=1)
-    y0 = np.where(data.w == 0, data.y, counterfactual)
-    y1 = np.where(data.w == 1, data.y, counterfactual)
-    return ImputedPotentialOutcomes(y0=y0, y1=y1, gamma=y1 - y0, variant="raw")
+    return _imputed(data, data.y[matches.matched_sets].mean(axis=1))
 
 
 def impute_bias_corrected(
@@ -181,10 +183,7 @@ def impute_bias_corrected(
     mu_observed = np.where(data.w == 1, mu1, mu0)
     matched_y = data.y[matches.matched_sets].mean(axis=1)
     matched_mu = mu_observed[matches.matched_sets].mean(axis=1)
-    counterfactual = matched_y + mu_counterfactual_self - matched_mu
-    y0 = np.where(data.w == 0, data.y, counterfactual)
-    y1 = np.where(data.w == 1, data.y, counterfactual)
-    return ImputedPotentialOutcomes(y0=y0, y1=y1, gamma=y1 - y0, variant="bias_corrected")
+    return _imputed(data, matched_y + mu_counterfactual_self - matched_mu)
 
 
 def k_pi_counts(matches: MatchResult, assignments: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ per-arm, so stratification has nothing to act on).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "expand_features",
     "fit_ols_per_arm",
     "fit_lasso_per_arm",
-    "predict",
     "predict_matrix",
 ]
 
@@ -87,28 +85,6 @@ class OutcomeModel:
     def n_expanded(self) -> int:
         return self.coef0.shape[0] - 1
 
-    def to_text(self) -> str:
-        """Self-describing serialization; round-trips exactly via from_text."""
-        payload = {
-            "expansion": self.expansion,
-            "coef0": self.coef0.tolist(),
-            "coef1": self.coef1.tolist(),
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OutcomeModel":
-        payload = json.loads(text)
-        return cls(
-            expansion=payload["expansion"],
-            coef0=np.array(payload["coef0"], dtype=float),
-            coef1=np.array(payload["coef1"], dtype=float),
-            lambda0=float(payload["lambda0"]),
-            lambda1=float(payload["lambda1"]),
-        )
-
 
 def predict_matrix(model: OutcomeModel, x: np.ndarray, w: int) -> np.ndarray:
     """Arm-w predictions for every row of x."""
@@ -123,12 +99,6 @@ def predict_matrix(model: OutcomeModel, x: np.ndarray, w: int) -> np.ndarray:
         )
     coef = model.coef1 if w == 1 else model.coef0
     return coef[0] + features @ coef[1:]
-
-
-def predict(model: OutcomeModel, x: np.ndarray, w: int) -> float:
-    """Arm-w prediction for a single covariate vector."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(predict_matrix(model, x, w)[0])
 
 
 def _arm_views(data: ObservationalDataset) -> list[tuple[np.ndarray, np.ndarray]]:

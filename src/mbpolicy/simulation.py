@@ -355,6 +355,8 @@ def run_experiment(
     """
     if not settings or not methods or replications < 1:
         raise ValueError("need at least one setting, one method, one replication")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")

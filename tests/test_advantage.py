@@ -22,9 +22,7 @@ from _oracles import random_dataset, random_tree
 
 def imputed_from(gamma):
     gamma = np.asarray(gamma, dtype=float)
-    return ImputedPotentialOutcomes(
-        y0=np.zeros_like(gamma), y1=gamma, gamma=gamma, variant="raw"
-    )
+    return ImputedPotentialOutcomes(y0=np.zeros_like(gamma), y1=gamma, gamma=gamma)
 
 
 def random_assignments(rng, data):
@@ -264,11 +262,13 @@ class TestAipwScores:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             aipw_scores(data, bad, lambda pts, arm: np.zeros(len(pts)))
 
-    def test_scalar_mean_callables_accepted(self):
+    def test_mean_function_must_return_one_value_per_row(self):
         rng = np.random.default_rng(57)
         data = random_dataset(rng, 12, 2, min_arm=2)
-        vec = aipw_scores(data, np.full(12, 0.4), lambda pts, arm: pts[:, 0] * arm)
-        scal = aipw_scores(
-            data, np.full(12, 0.4), lambda pt, arm: float(np.atleast_2d(pt)[0, 0]) * arm
-        )
-        np.testing.assert_allclose(vec.gamma, scal.gamma, atol=1e-12)
+        with pytest.raises(ValueError, match=r"must return 12 values for arm 0, got shape \(\)"):
+            aipw_scores(data, np.full(12, 0.4), lambda pt, arm: float(np.atleast_2d(pt)[0, 0]))
+        with pytest.raises(ValueError, match=r"got shape \(12, 2\)"):
+            decompose_advantage(
+                data, match_units(data, fit_mahalanobis(data.x), 1),
+                np.ones(12, dtype=int), lambda pts, arm: pts * arm,
+            )

@@ -156,6 +156,14 @@ class TestLearn:
         assert "not found" in capsys.readouterr().err
 
 
+    def test_one_lasso_fold_is_a_usage_error(self, learn_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["learn", "--data", str(learn_csv), "--treatment-col", "w",
+                  "--outcome-col", "y", "--lasso-folds", "1", "--out", str(tmp_path / "fit")])
+        assert excinfo.value.code == 2
+        assert "--lasso-folds: must be an integer >= 2" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_treat_all_policy(self, eval_csv, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -220,6 +228,15 @@ class TestEvaluate:
         assert main(args(second)) == 0
         assert (first / "cv_values.csv").read_bytes() == (second / "cv_values.csv").read_bytes()
         assert (first / "evaluation.json").read_bytes() == (second / "evaluation.json").read_bytes()
+
+    def test_one_cv_fold_is_a_usage_error(self, eval_csv, tmp_path, capsys):
+        out = tmp_path / "cv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--data", str(eval_csv), "--cv", "--folds", "1",
+                  "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "--folds: must be an integer >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cv_failures_are_written_per_fold(self, eval_csv, tmp_path, capsys):
         out = tmp_path / "cv"

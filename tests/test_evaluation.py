@@ -125,11 +125,6 @@ class TestPropensityPlugins:
         e = fit_linear_probability(data)
         assert e.mean() == pytest.approx(0.5, abs=1e-8)
 
-    def test_negative_ridge_rejected(self):
-        rng = np.random.default_rng(89)
-        with pytest.raises(ValueError, match="ridge must be"):
-            fit_linear_probability(balanced_data(rng, 10), ridge=-1.0)
-
 
 class TestCrossValidate:
     def test_equal_partition_and_pure_ipw_identity(self):
@@ -245,7 +240,7 @@ class TestCrossValidate:
     def test_report_csv(self, tmp_path):
         report = CrossValReport(
             values=np.array([1.5, float("nan"), 2.5]),
-            mean=2.0, std=0.5, folds=5, repeats=3, seed=9,
+            mean=2.0, std=0.5, folds=5, repeats=3,
             failures=("repeat 1 fold 2: ValueError: x",),
         )
         path = tmp_path / "cv.csv"

@@ -209,7 +209,6 @@ class TestImputeRaw:
         # unit 0 is treated with outcome 5 and matches unit 1 with outcome 3
         assert (imputed.y0[0], imputed.y1[0]) == (3.0, 5.0)
         assert imputed.gamma[0] == 2.0
-        assert imputed.variant == "raw"
 
     def test_observed_arm_copied_verbatim(self):
         rng = np.random.default_rng(26)

@@ -368,6 +368,41 @@ class TestSearchTree:
             scaled = evaluate_policy(search_tree(x, 37.5 * gamma, depth), x)
             np.testing.assert_array_equal(scaled, base)
 
+    def test_monotone_transform_of_a_covariate_changes_only_thresholds(self):
+        # A strictly increasing map keeps the order and ties of a column's
+        # values, so every candidate split cuts the rows the same way.
+        transforms = (np.exp, lambda v: v**3 + 2.0 * v, lambda v: 3.0 * v + 7.0, np.arctan)
+        rng = np.random.default_rng(70)
+        for trial in range(150):
+            n, p = int(rng.integers(5, 120)), int(rng.integers(1, 4))
+            x = rng.normal(size=(n, p))
+            if trial % 2:  # ties
+                x = np.round(x * 2.0) / 2.0
+            kind = (trial // 2) % 4
+            if kind == 0:
+                gamma = rng.normal(size=n)
+            elif kind == 1:
+                gamma = rng.integers(-9, 10, size=n).astype(float)
+            elif kind == 2:
+                gamma = np.round(rng.normal(size=n), 1)
+            else:
+                gamma = rng.choice([-1.0, 1.0], size=n) * np.exp(3.0 * rng.normal(size=n))
+            j = int(rng.integers(p))
+            for transform in transforms:
+                moved = x.copy()
+                moved[:, j] = transform(x[:, j])
+                assert np.all(np.isfinite(moved[:, j]))
+                assert len(np.unique(moved[:, j])) == len(np.unique(x[:, j]))
+                for depth in (1, 2):
+                    tree = search_tree(x, gamma, depth)
+                    twin = search_tree(moved, gamma, depth)
+                    np.testing.assert_array_equal(twin.features, tree.features)
+                    np.testing.assert_array_equal(twin.leaf_actions, tree.leaf_actions)
+                    np.testing.assert_array_equal(
+                        evaluate_policy(twin, moved), evaluate_policy(tree, x)
+                    )
+                    assert tree_objective(twin, moved, gamma) == tree_objective(tree, x, gamma)
+
     def test_leaf_ties_default_to_no_treatment(self):
         tree = search_tree(np.array([[0.0], [1.0]]), np.array([2.0, -2.0]), depth=1)
         # the best split separates the units; a constant tree would tie at 0

@@ -256,6 +256,11 @@ class TestRunExperiment:
                 b.method, b.replicate, b.value, b.regret, b.error
             )
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_experiment([spec(n=30)], ["mb-m1"], 1, threads=threads)
+
     def test_failures_are_rows_not_exceptions(self):
         # 5-fold lasso cannot run on arms this small
         rows = run_experiment(

@@ -57,7 +57,7 @@ VALUE_TYPES = [
             "y1": np.array([1.0, 1.0, 4.0, 2.0]),
             "gamma": np.array([1.0, 0.0, 2.0, -1.0]),
         },
-        {"variant": "raw"},
+        {},
     ),
     (
         AipwScores,
@@ -81,7 +81,7 @@ VALUE_TYPES = [
     (
         CrossValReport,
         {"values": np.array([1.0, np.nan, 3.0])},
-        {"mean": 2.0, "std": 1.4, "folds": 5, "repeats": 3, "seed": 0},
+        {"mean": 2.0, "std": 1.4, "folds": 5, "repeats": 3},
     ),
 ]
 
