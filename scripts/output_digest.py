@@ -10,6 +10,9 @@ Two commits that print the same digest give byte-identical outputs on:
 - the `run_experiment` rows (value, regret, tree JSON) of all seven methods on
   the two settings of the benchmark's sim-replicate workload, experiment
   seeds 1000-1002 (its `--seed 1`, rounds 0-2), test_n 20000, depth 2;
+- for each of the 20 (scenario, main effect, contrast) designs, one seed-7
+  training draw of n = 100 (x, w, y, y0, y1) and its oracle's mu at both
+  arms, propensity, contrast and optimal rule on those covariates;
 - the `outputs.sha256` of `evaluate --cv --repeats 1 --method mb-lr-m5
   --exclude black,hispanic` on bench/nsw_shaped.py's seed-0 file, CV seeds
   8-15 (the study-cv workload's `--seed 1` ops);
@@ -30,6 +33,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -39,13 +43,16 @@ LEARN_COVARIATES = "age,education,re74,re75"
 SIM_SETTINGS = ((1, "linear", "tree", 500), (5, "nonlinear", "nontree", 500))
 EXPERIMENT_SEEDS = (1000, 1001, 1002)
 CV_SEEDS = range(8, 16)
+DESIGN_N, DESIGN_SEED = 100, 7
 
 
 def items(root: Path):
     """(name, bytes) of every output the digest covers, in a fixed order."""
     sys.path.insert(0, str(root / "src"))
     from mbpolicy import cli
-    from mbpolicy.simulation import METHODS, SimulationSpec, run_experiment
+    from mbpolicy.simulation import (
+        CONTRASTS, MAIN_EFFECTS, METHODS, SCENARIOS, SimulationSpec, generate, run_experiment,
+    )
 
     specs = [SimulationSpec(*setting) for setting in SIM_SETTINGS]
     for seed in EXPERIMENT_SEEDS:
@@ -54,6 +61,15 @@ def items(root: Path):
                 raise RuntimeError(f"{row.method} at seed {seed} failed: {row.error}")
             name = f"{row.propensity_scenario}/{row.main_effect}/{row.contrast}/{row.method}/{seed}"
             yield name, f"{row.value!r} {row.regret!r} {row.tree.to_json()}".encode()
+
+    for design in itertools.product(SCENARIOS, MAIN_EFFECTS, CONTRASTS):
+        data, oracle = generate(SimulationSpec(*design, DESIGN_N, DESIGN_SEED))
+        x = data.x
+        arrays = (
+            x, data.w, data.y, oracle.y0, oracle.y1, oracle.mu(x, 0), oracle.mu(x, 1),
+            oracle.propensity(x), oracle.contrast(x), oracle.optimal_rule(x),
+        )
+        yield "design/{}/{}/{}".format(*design), b"".join(a.tobytes() for a in arrays)
 
     spec = importlib.util.spec_from_file_location("nsw_shaped", root / "bench" / "nsw_shaped.py")
     nsw_shaped = importlib.util.module_from_spec(spec)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -47,6 +48,7 @@ from .simulation import (
     METHODS,
     SCENARIOS,
     SimulationSpec,
+    _check_methods,
     learn_with_method,
     run_experiment,
     summarize_results,
@@ -61,23 +63,18 @@ EXIT_USAGE = 2
 OUT_DIR_ENV = "MBPOLICY_OUT"
 
 BUDGETS = {
-    # (scenarios, main effects, contrasts, train sizes, methods, replications)
-    "smoke": ((1,), ("linear",), ("tree",), (200,), ("mb-m5", "mb-lasso-m5"), 3),
-    "desk": (
-        tuple(SCENARIOS),
-        MAIN_EFFECTS,
-        CONTRASTS,
-        (500,),
-        ("mb-m5", "mb-lasso-m5", "aipw-tree"),
-        20,
+    # the replicate manifest records each budget's entries under these names
+    "smoke": dict(
+        scenarios=(1,), mains=("linear",), contrasts=("tree",), sizes=(200,),
+        methods=("mb-m5", "mb-lasso-m5"), reps=3,
     ),
-    "full": (
-        tuple(SCENARIOS),
-        MAIN_EFFECTS,
-        CONTRASTS,
-        (200, 500, 1000),
-        tuple(sorted(METHODS)),
-        200,
+    "desk": dict(
+        scenarios=SCENARIOS, mains=MAIN_EFFECTS, contrasts=CONTRASTS, sizes=(500,),
+        methods=("mb-m5", "mb-lasso-m5", "aipw-tree"), reps=20,
+    ),
+    "full": dict(
+        scenarios=SCENARIOS, mains=MAIN_EFFECTS, contrasts=CONTRASTS, sizes=(200, 500, 1000),
+        methods=tuple(sorted(METHODS)), reps=200,
     ),
 }
 
@@ -167,11 +164,14 @@ def _data_parameters(args: argparse.Namespace, data) -> dict:
     }
 
 
-def _resolve_policy(spec: str, feature_names: tuple[str, ...]) -> TreePolicy:
+def _resolve_policy(
+    spec: str, feature_names: tuple[str, ...]
+) -> tuple[TreePolicy, dict[str, Path]]:
+    """The policy, and the manifest inputs naming the file it was read from, if any."""
     if spec == "treat-all":
-        return constant_policy(1, feature_names)
+        return constant_policy(1, feature_names), {}
     if spec == "treat-none":
-        return constant_policy(0, feature_names)
+        return constant_policy(0, feature_names), {}
     path = Path(spec)
     if not path.exists():
         raise FileNotFoundError(
@@ -186,7 +186,7 @@ def _resolve_policy(spec: str, feature_names: tuple[str, ...]) -> TreePolicy:
                     f"policy splits on feature {j} named {tree.feature_names[j]!r}, "
                     f"but column {j} of the data is {feature_names[j]!r}"
                 )
-    return tree
+    return tree, {"policy": path}
 
 
 def _write_grid(
@@ -207,36 +207,24 @@ def _write_grid(
     return rows, EXIT_RUNTIME if all(row.error for row in rows) else EXIT_OK
 
 
+def _grid_parameters(args: argparse.Namespace) -> dict:
+    """Manifest entries of a grid command: its parsed flags, less the output dir."""
+    return {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "func", "out", "method")
+    }
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     methods = _split_csv_flag(args.method)
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        print(
-            f"unknown method(s) {unknown}; choose from {sorted(METHODS)}",
-            file=sys.stderr,
-        )
+    try:
+        _check_methods(methods)
+    except ValueError as exc:
+        print(f"error: --method {args.method!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = _out_dir(args)
-    settings = [
-        SimulationSpec(args.scenario, args.main, args.contrast, n=args.n, seed=0)
-    ]
-    _write_manifest(
-        out,
-        "simulate",
-        {
-            "scenario": args.scenario,
-            "main": args.main,
-            "contrast": args.contrast,
-            "n": args.n,
-            "methods": methods,
-            "reps": args.reps,
-            "seed": args.seed,
-            "test_n": args.test_n,
-            "depth": args.depth,
-            "threads": args.threads,
-        },
-        inputs={},
-    )
+    _write_manifest(out, "simulate", {**_grid_parameters(args), "methods": methods}, inputs={})
+    settings = [SimulationSpec(args.scenario, args.main, args.contrast, args.n)]
     rows, code = _write_grid(out, args, settings, methods, args.reps, args.depth)
     for summary in summarize_results(rows):
         print(
@@ -250,33 +238,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    scenarios, mains, contrasts, sizes, methods, reps = BUDGETS[args.budget]
+    budget = BUDGETS[args.budget]
     out = _out_dir(args)
-    _write_manifest(
-        out,
-        "replicate",
-        {
-            "budget": args.budget,
-            "seed": args.seed,
-            "test_n": args.test_n,
-            "threads": args.threads,
-            "scenarios": list(scenarios),
-            "mains": list(mains),
-            "contrasts": list(contrasts),
-            "sizes": list(sizes),
-            "methods": list(methods),
-            "reps": reps,
-        },
-        inputs={},
-    )
-    settings = [
-        SimulationSpec(s, main, contrast, n=n, seed=0)
-        for s in scenarios
-        for main in mains
-        for contrast in contrasts
-        for n in sizes
-    ]
-    rows, code = _write_grid(out, args, settings, list(methods), reps, depth=2)
+    _write_manifest(out, "replicate", {**_grid_parameters(args), **budget}, inputs={})
+    axes = ("scenarios", "mains", "contrasts", "sizes")  # in SimulationSpec's order
+    designs = itertools.product(*(budget[axis] for axis in axes))
+    settings = [SimulationSpec(*design) for design in designs]
+    rows, code = _write_grid(out, args, settings, list(budget["methods"]), budget["reps"], depth=2)
     n_failed = sum(1 for row in rows if row.error)
     print(f"{len(rows)} replicate rows written, {n_failed} failed")
     return code
@@ -366,8 +334,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 return EXIT_RUNTIME
         return EXIT_OK
     parameters.update(cv=False, policy=args.policy)
-    _write_manifest(out, "evaluate", parameters, inputs={"data": path})
-    tree = _resolve_policy(args.policy, data.feature_names)
+    tree, policy_inputs = _resolve_policy(args.policy, data.feature_names)
+    _write_manifest(out, "evaluate", parameters, inputs={"data": path, **policy_inputs})
     assignments = evaluate_policy(tree, data.x)
     mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
     value = aipw_value_estimate(data, assignments, e_hat, mu_hat)

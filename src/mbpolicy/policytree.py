@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -56,6 +55,18 @@ _BLOCK_BYTES = 1 << 20  # one block of depth-2 prefix-sum rows; its c_f - S buff
 _LINE_BREAKS = str.maketrans(
     {c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 )
+# The JSON value kinds of a parsed policy; a bool is not an integer here.
+_JSON_KINDS = {"integer": int, "number": (int, float), "string": str}
+
+
+def _json_list(value: object, kind: str) -> list:
+    """value if it is a JSON list of kind, else a TypeError naming the misfit."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {json.dumps(value)}")
+    for item in value:
+        if isinstance(item, bool) or not isinstance(item, _JSON_KINDS[kind]):
+            raise TypeError(f"expected a JSON {kind}, got {json.dumps(item)}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +176,11 @@ class TreePolicy:
         pos, names = 2, None
         if lines[pos][1].startswith("names: "):
             try:
-                names = tuple(json.loads(lines[pos][1][len("names: "):]))
+                names = tuple(_json_list(json.loads(lines[pos][1][len("names: "):]), "string"))
             except (TypeError, ValueError):
-                raise ValueError(f"line {lines[pos][0]}: names must be a JSON list") from None
+                raise ValueError(
+                    f"line {lines[pos][0]}: names must be a JSON list of strings"
+                ) from None
             pos += 1
 
         n_internal = 2**depth - 1
@@ -224,12 +237,12 @@ class TreePolicy:
         payload.setdefault("feature_names", None)
         fields = {}
         for key, convert in (
-            ("depth", int),
-            ("features", partial(np.array, dtype=np.int64)),
-            ("thresholds", partial(np.array, dtype=float)),
-            ("leaf_actions", partial(np.array, dtype=np.int64)),
-            ("eligible_features", lambda v: tuple(int(f) for f in v)),
-            ("feature_names", lambda v: None if v is None else tuple(v)),
+            ("depth", lambda v: _json_list([v], "integer")[0]),
+            ("features", lambda v: np.array(_json_list(v, "integer"), dtype=np.int64)),
+            ("thresholds", lambda v: np.array(_json_list(v, "number"), dtype=float)),
+            ("leaf_actions", lambda v: np.array(_json_list(v, "integer"), dtype=np.int64)),
+            ("eligible_features", lambda v: tuple(_json_list(v, "integer"))),
+            ("feature_names", lambda v: None if v is None else tuple(_json_list(v, "string"))),
         ):
             if key not in payload:
                 raise ValueError(f"policy JSON is missing key {key!r}")

@@ -54,10 +54,27 @@ __all__ = [
 
 N_FEATURES = 4
 FEATURE_NAMES = ("x1", "x2", "x3", "x4")
-SCENARIOS = range(1, 6)  # propensity scenarios
-MAIN_EFFECTS = ("linear", "nonlinear")
-CONTRASTS = ("tree", "nontree")
 DEFAULT_TEST_N = 20_000
+
+# The design, one table per choice: each formula takes the columns x1..x4.
+_PROPENSITY_LOGITS = {
+    1: lambda x1, x2, x3, x4: -x1 + 0.5 * x2 - 0.25 * x3 - 0.1 * x4,
+    2: lambda x1, x2, x3, x4: 0.1 * x1**3 + 0.2 * x2**3 + 0.3 * x3,
+    3: lambda x1, x2, x3, x4: 2.1 - x1 + 2.0 * x2 - 0.25 * x3 - 0.1 * x4,
+    4: lambda x1, *_: np.full(x1.shape[0], np.log(9.0)),
+    5: lambda x1, x2, x3, x4: 1.0 + np.exp(x2) + np.sin(x1) * np.cos(x3),
+}
+_MAIN_EFFECTS = {
+    "linear": lambda x1, x2, x3, x4: 1.0 + 2.0 * x1 - x2 + 0.5 * x3 - 1.5 * x4,
+    "nonlinear": lambda x1, x2, x3, x4: 4.0 * np.sin(x1) + 2.5 * np.cos(x2) - x3 * x4,
+}
+_CONTRASTS = {
+    "tree": lambda x1, x2, *_: 2.0 * ((x1 > 0) & (x2 > 0)) - 1.0,
+    "nontree": lambda x1, x2, *_: 2.0 * (2.0 * x2 - np.exp(1.0 + x1) + 2.0 > 0) - 1.0,
+}
+SCENARIOS = tuple(_PROPENSITY_LOGITS)  # propensity scenarios
+MAIN_EFFECTS = tuple(_MAIN_EFFECTS)
+CONTRASTS = tuple(_CONTRASTS)
 
 # Learner registry: matching with m in {1,5}, optionally bias-corrected by a
 # per-arm linear fit (lr) or a quadratic-expansion lasso, plus a doubly robust
@@ -82,37 +99,22 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propensity_logit(x: np.ndarray, scenario: int) -> np.ndarray:
-    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    if scenario == 1:
-        return -x1 + 0.5 * x2 - 0.25 * x3 - 0.1 * x4
-    if scenario == 2:
-        return 0.1 * x1**3 + 0.2 * x2**3 + 0.3 * x3
-    if scenario == 3:
-        return 2.1 - x1 + 2.0 * x2 - 0.25 * x3 - 0.1 * x4
-    if scenario == 4:
-        return np.full(x.shape[0], np.log(9.0))
-    if scenario == 5:
-        return 1.0 + np.exp(x2) + np.sin(x1) * np.cos(x3)
-    raise ValueError(f"propensity scenario must be 1..5, got {scenario}")
+def _columns(points: np.ndarray) -> np.ndarray:
+    """The columns x1..x4 of a point or an (n, 4) matrix of points."""
+    return np.atleast_2d(np.asarray(points, dtype=float)).T
 
 
-def _main_effect(x: np.ndarray, kind: str) -> np.ndarray:
-    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    if kind == "linear":
-        return 1.0 + 2.0 * x1 - x2 + 0.5 * x3 - 1.5 * x4
-    if kind == "nonlinear":
-        return 4.0 * np.sin(x1) + 2.5 * np.cos(x2) - x3 * x4
-    raise ValueError(f"main_effect must be one of {MAIN_EFFECTS}, got {kind!r}")
+def _mean(main_effect: str, contrast: str, points: np.ndarray, arm: int) -> np.ndarray:
+    x = _columns(points)
+    return _MAIN_EFFECTS[main_effect](*x) + arm * _CONTRASTS[contrast](*x)
 
 
-def _contrast(x: np.ndarray, kind: str) -> np.ndarray:
-    x1, x2 = x[:, 0], x[:, 1]
-    if kind == "tree":
-        return 2.0 * ((x1 > 0) & (x2 > 0)) - 1.0
-    if kind == "nontree":
-        return 2.0 * (2.0 * x2 - np.exp(1.0 + x1) + 2.0 > 0) - 1.0
-    raise ValueError(f"contrast must be one of {CONTRASTS}, got {kind!r}")
+def _propensity(scenario: int, points: np.ndarray) -> np.ndarray:
+    return _logistic(_PROPENSITY_LOGITS[scenario](*_columns(points)))
+
+
+def _contrast(contrast: str, points: np.ndarray) -> np.ndarray:
+    return _CONTRASTS[contrast](*_columns(points))
 
 
 @dataclass(frozen=True)
@@ -126,14 +128,13 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.propensity_scenario not in SCENARIOS:
-            raise ValueError(
-                f"propensity_scenario must be 1..5, got {self.propensity_scenario}"
-            )
-        if self.main_effect not in MAIN_EFFECTS:
-            raise ValueError(f"main_effect must be one of {MAIN_EFFECTS}")
-        if self.contrast not in CONTRASTS:
-            raise ValueError(f"contrast must be one of {CONTRASTS}")
+        for name, keys in (
+            ("propensity_scenario", SCENARIOS),
+            ("main_effect", MAIN_EFFECTS),
+            ("contrast", CONTRASTS),
+        ):
+            if getattr(self, name) not in keys:
+                raise ValueError(f"{name} must be one of {keys}, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.seed < 2**64:
@@ -170,45 +171,27 @@ class SimulationOracle:
         _freeze(self, y0=y0, y1=y1)
 
     def optimal_rule(self, x: np.ndarray) -> np.ndarray:
-        return (self.contrast(np.atleast_2d(np.asarray(x, dtype=float))) > 0).astype(
-            np.int64
-        )
+        return (self.contrast(x) > 0).astype(np.int64)
 
 
 def generate(spec: SimulationSpec) -> tuple[ObservationalDataset, SimulationOracle]:
     """Draw one dataset plus its oracle; identical specs give bit-identical output."""
     rng = philox_rng(spec.seed)
     x = rng.standard_normal((spec.n, N_FEATURES))
-    e = _logistic(_propensity_logit(x, spec.propensity_scenario))
-    w = (rng.random(spec.n) < e).astype(np.int64)
+    w = (rng.random(spec.n) < _propensity(spec.propensity_scenario, x)).astype(np.int64)
     noise = rng.standard_normal(spec.n)
 
-    m = _main_effect(x, spec.main_effect)
-    c = _contrast(x, spec.contrast)
-    y0 = m + noise
-    y1 = y0 + c  # shared noise: the potential-outcome gap is the contrast
+    y0 = _MAIN_EFFECTS[spec.main_effect](*x.T) + noise
+    y1 = y0 + _contrast(spec.contrast, x)  # shared noise: the gap is the contrast
     y = np.where(w == 1, y1, y0)
 
-    scenario, main_kind, contrast_kind = (
-        spec.propensity_scenario,
-        spec.main_effect,
-        spec.contrast,
-    )
-
-    def mu(points: np.ndarray, arm: int) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _main_effect(points, main_kind) + arm * _contrast(points, contrast_kind)
-
-    def propensity(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _logistic(_propensity_logit(points, scenario))
-
-    def contrast(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _contrast(points, contrast_kind)
-
     data = ObservationalDataset(x=x, w=w, y=y, feature_names=FEATURE_NAMES)
-    oracle = SimulationOracle(mu=mu, propensity=propensity, contrast=contrast, y0=y0, y1=y1)
+    oracle = SimulationOracle(
+        mu=partial(_mean, spec.main_effect, spec.contrast),
+        propensity=partial(_propensity, spec.propensity_scenario),
+        contrast=partial(_contrast, spec.contrast),
+        y0=y0, y1=y1,
+    )
     return data, oracle
 
 
@@ -233,7 +216,7 @@ def true_advantage(
     rng = philox_rng(seed)
     x = rng.standard_normal((mc_draws, N_FEATURES))
     signs = 2.0 * evaluate_policy(policy, x) - 1.0
-    vals = signs * _contrast(x, spec.contrast)
+    vals = signs * _contrast(spec.contrast, x)
     return MonteCarloEstimate(
         value=float(vals.mean()),
         standard_error=float(vals.std(ddof=1) / np.sqrt(mc_draws)),
@@ -250,8 +233,7 @@ def learn_with_method(
     nuisances (linear-probability propensity, quadratic OLS outcome model) and
     searches the same tree class on those scores.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    _check_methods([method])
     if method == "aipw-tree":
         e_hat = fit_linear_probability(data)
         mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
@@ -288,33 +270,36 @@ def _run_single(
 ) -> list[ReplicateResult]:
     """One (setting, replicate) job: one row per method, all on the same draw.
 
-    The training set, test set and optimal value are drawn once, inside the
-    first method's try; a failed draw is retried by the next method, so every
-    row of a job whose draw fails carries that error. Each row's seconds
-    cover its own method, and the first row's also cover the draw.
+    The training set, test set and optimal value are drawn once, before any
+    method runs; a failed draw fails every method's row with its error. Each
+    row's seconds cover its own method, and the first row's also cover the draw.
     """
     base = (setting.propensity_scenario, setting.main_effect, setting.contrast)
     dataset_seed = derive_seed("dataset", *base, setting.n, seed, rep)
     # test sets are shared across methods and across training sizes
     test_seed = derive_seed("test", *base, seed, rep)
-    drawn = None
+    start = time.perf_counter()
+    try:
+        data, _ = generate(replace(setting, seed=dataset_seed))
+        test_data, test_oracle = generate(replace(setting, n=test_n, seed=test_seed))
+        optimal = empirical_value(test_oracle.optimal_rule(test_data.x), test_oracle)
+        failed_draw = None
+    except Exception as exc:
+        failed_draw = _failure(exc)
     rows = []
     for method in methods:
-        method_seed = derive_seed("method", method, *base, setting.n, seed, rep)
-        start = time.perf_counter()
-        try:
-            if drawn is None:
-                data, _ = generate(replace(setting, seed=dataset_seed))
-                test_data, test_oracle = generate(replace(setting, n=test_n, seed=test_seed))
-                optimal = empirical_value(test_oracle.optimal_rule(test_data.x), test_oracle)
-                drawn = data, test_data, test_oracle, optimal
-            data, test_data, test_oracle, optimal = drawn
-            tree = learn_with_method(data, method, method_seed, depth)
-            value = empirical_value(evaluate_policy(tree, test_data.x), test_oracle)
-            outcome = dict(value=value, regret=optimal - value, tree=tree)
-        except Exception as exc:
-            outcome = _failure(exc)
-        rows.append(_row(setting, method, rep, time.perf_counter() - start, **outcome))
+        outcome = failed_draw
+        if outcome is None:
+            method_seed = derive_seed("method", method, *base, setting.n, seed, rep)
+            try:
+                tree = learn_with_method(data, method, method_seed, depth)
+                value = empirical_value(evaluate_policy(tree, test_data.x), test_oracle)
+                outcome = dict(value=value, regret=optimal - value, tree=tree)
+            except Exception as exc:
+                outcome = _failure(exc)
+        end = time.perf_counter()
+        rows.append(_row(setting, method, rep, end - start, **outcome))
+        start = end
     return rows
 
 
@@ -331,6 +316,18 @@ def _failure(exc: BaseException) -> dict:
     """Row fields of a failed method: NaN value and regret, the error text."""
     nan = float("nan")
     return dict(value=nan, regret=nan, error=f"{type(exc).__name__}: {exc}")
+
+
+def _check_methods(methods: list[str]) -> None:
+    """Raise ValueError unless methods lists registry names, at least one, none twice."""
+    if not methods:
+        raise ValueError("need at least one method")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated methods {repeated}; list each method once")
 
 
 def run_experiment(
@@ -353,13 +350,11 @@ def run_experiment(
     Rows come back ordered by setting, then method, then replicate, whatever
     threads is.
     """
-    if not settings or not methods or replications < 1:
-        raise ValueError("need at least one setting, one method, one replication")
+    if not settings or replications < 1:
+        raise ValueError("need at least one setting and one replication")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
+    _check_methods(methods)
     jobs = [(setting, rep) for setting in settings for rep in range(replications)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -93,6 +93,13 @@ class TestSimulate:
         assert code == 2
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", ["mb-m1,mb-m1", ",", "mb-m5, mb-m1 ,mb-m5"])
+    def test_repeated_or_empty_method_list_is_a_usage_error(self, tmp_path, capsys, methods):
+        out = tmp_path / "x"
+        assert main(simulate_args(out, extra=["--method", methods])) == 2
+        assert "--method" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_manifest_records_parameters(self, tmp_path):
         out = tmp_path / "run"
         assert main(simulate_args(out)) == 0
@@ -204,6 +211,29 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads((out / "evaluation.json").read_text())
         assert 0 <= payload["n_treated_by_policy"] <= 20
+
+    def test_manifest_hashes_the_policy_file(self, eval_csv, tmp_path):
+        fit = tmp_path / "fit"
+        assert main(["learn", "--data", str(eval_csv), "--m", "1",
+                     "--correction", "none", "--depth", "1", "--out", str(fit)]) == 0
+        for policy in (fit / "policy.json", fit / "policy.txt"):
+            out = tmp_path / f"eval-{policy.suffix[1:]}"
+            assert main(["evaluate", "--data", str(eval_csv),
+                         "--policy", str(policy), "--out", str(out)]) == 0
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert inputs == {
+                "data": {"path": str(eval_csv), "sha256": sha256(eval_csv)},
+                "policy": {"path": str(policy), "sha256": sha256(policy)},
+            }
+        out = tmp_path / "eval-constant"
+        assert main(["evaluate", "--data", str(eval_csv), "--out", str(out)]) == 0
+        assert list(json.loads((out / "manifest.json").read_text())["inputs"]) == ["data"]
+
+    def test_missing_policy_file_writes_no_manifest(self, eval_csv, tmp_path):
+        out = tmp_path / "e"
+        assert main(["evaluate", "--data", str(eval_csv),
+                     "--policy", str(tmp_path / "nope.json"), "--out", str(out)]) == 1
+        assert not (out / "manifest.json").exists()
 
     def test_missing_policy_file(self, eval_csv, tmp_path, capsys):
         code = main(["evaluate", "--data", str(eval_csv),

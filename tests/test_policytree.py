@@ -203,9 +203,13 @@ class TestTreePolicyType:
             ("policy depth=1\neligible: 0\nif x[0] <= high:\n", "line 3: bad threshold"),
             ("policy depth=1\neligible: 0\n\nif x[0] <= 1.0:\n  action 1\nelse:\n  action 2\n",
              "line 7: expected leaf action"),
+            ('policy depth=1\neligible: 0\nnames: {"q": 1}\n', "line 3: names must be a JSON list"),
+            ('policy depth=1\neligible: 0\nnames: "q"\n', "line 3: names must be a JSON list"),
+            ("policy depth=1\neligible: 0\nnames: [1]\n",
+             "line 3: names must be a JSON list of strings"),
         ],
         ids=["empty", "header-only", "truncated", "depth-3", "bad-eligible", "null-names",
-             "bad-threshold", "bad-leaf"],
+             "bad-threshold", "bad-leaf", "object-names", "string-names", "number-names"],
     )
     def test_malformed_text_names_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -222,9 +226,19 @@ class TestTreePolicyType:
             (lambda d: {**d, "thresholds": {"a": 1}}, "key 'thresholds'"),
             (lambda d: {**d, "depth": "two"}, "key 'depth'"),
             (lambda d: {**d, "feature_names": 7}, "key 'feature_names'"),
+            (lambda d: {**d, "depth": 1.7}, "key 'depth': expected a JSON integer, got 1.7"),
+            (lambda d: {**d, "depth": True}, "key 'depth': expected a JSON integer, got true"),
+            (lambda d: {**d, "leaf_actions": [1.5, 0.2]}, "key 'leaf_actions': .* got 1.5"),
+            (lambda d: {**d, "features": [0.9]}, "key 'features': .* got 0.9"),
+            (lambda d: {**d, "eligible_features": [0, False]}, "key 'eligible_features'"),
+            (lambda d: {**d, "thresholds": ["1.5"]}, "key 'thresholds': expected a JSON number"),
+            (lambda d: {**d, "feature_names": "zz"}, "key 'feature_names': expected a JSON list"),
+            (lambda d: {**d, "feature_names": ["a", 2]}, "key 'feature_names': .* string, got 2"),
         ],
         ids=["list", "missing-key", "null-features", "scalar-eligible", "object-thresholds",
-             "string-depth", "scalar-names"],
+             "string-depth", "scalar-names", "float-depth", "bool-depth", "float-leaves",
+             "float-features", "bool-eligible", "string-thresholds", "string-names",
+             "number-name"],
     )
     def test_malformed_json_names_the_key(self, edit, message):
         payload = json.loads(stump(0, 1.5, 1, 0).to_json())

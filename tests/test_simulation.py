@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from mbpolicy import (
     write_timings_csv,
 )
 from mbpolicy import simulation
+from mbpolicy.seeding import philox_rng
 
 
 def spec(scenario=1, main="linear", contrast="tree", n=100, seed=0):
@@ -125,6 +127,63 @@ class TestGenerate:
         with pytest.raises(ValueError, match="n must be"):
             spec(n=0)
         assert spec(3, "nonlinear", "nontree", n=250).key() == "s3-nonlinear-nontree-n250"
+
+
+# The design written out once more, independently of the module's tables.
+LOGITS = {
+    1: lambda x: -x[:, 0] + 0.5 * x[:, 1] - 0.25 * x[:, 2] - 0.1 * x[:, 3],
+    2: lambda x: 0.1 * x[:, 0] ** 3 + 0.2 * x[:, 1] ** 3 + 0.3 * x[:, 2],
+    3: lambda x: 2.1 - x[:, 0] + 2.0 * x[:, 1] - 0.25 * x[:, 2] - 0.1 * x[:, 3],
+    4: lambda x: np.full(x.shape[0], np.log(9.0)),
+    5: lambda x: 1.0 + np.exp(x[:, 1]) + np.sin(x[:, 0]) * np.cos(x[:, 2]),
+}
+MAINS = {
+    "linear": lambda x: 1.0 + 2.0 * x[:, 0] - x[:, 1] + 0.5 * x[:, 2] - 1.5 * x[:, 3],
+    "nonlinear": lambda x: 4.0 * np.sin(x[:, 0]) + 2.5 * np.cos(x[:, 1]) - x[:, 2] * x[:, 3],
+}
+SIGNS = {
+    "tree": lambda x: 2.0 * ((x[:, 0] > 0) & (x[:, 1] > 0)) - 1.0,
+    "nontree": lambda x: 2.0 * (2.0 * x[:, 1] - np.exp(1.0 + x[:, 0]) + 2.0 > 0) - 1.0,
+}
+
+
+def logistic(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    out[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    return out
+
+
+class TestEveryDesign:
+    """Each (scenario, main effect, contrast) draws exactly the written-out formulas."""
+
+    def test_design_names(self):
+        assert tuple(simulation.SCENARIOS) == tuple(LOGITS)
+        assert tuple(simulation.MAIN_EFFECTS) == tuple(MAINS)
+        assert tuple(simulation.CONTRASTS) == tuple(SIGNS)
+
+    @pytest.mark.parametrize("scenario, main, contrast", itertools.product(LOGITS, MAINS, SIGNS))
+    def test_draw_and_oracle_are_the_formulas(self, scenario, main, contrast):
+        n, seed = 64, 515
+        data, oracle = generate(spec(scenario, main, contrast, n=n, seed=seed))
+        rng = philox_rng(seed)
+        x = rng.standard_normal((n, 4))
+        e = logistic(LOGITS[scenario](x))
+        w = (rng.random(n) < e).astype(np.int64)
+        y0 = MAINS[main](x) + rng.standard_normal(n)
+        c = SIGNS[contrast](x)
+        np.testing.assert_array_equal(data.x, x)
+        np.testing.assert_array_equal(data.w, w)
+        np.testing.assert_array_equal(oracle.y0, y0)
+        np.testing.assert_array_equal(oracle.y1, y0 + c)
+        np.testing.assert_array_equal(data.y, np.where(w == 1, y0 + c, y0))
+        np.testing.assert_array_equal(oracle.propensity(x), e)
+        np.testing.assert_array_equal(oracle.contrast(x), c)
+        np.testing.assert_array_equal(oracle.mu(x, 0), MAINS[main](x) + 0 * c)
+        np.testing.assert_array_equal(oracle.mu(x, 1), MAINS[main](x) + 1 * c)
+        np.testing.assert_array_equal(oracle.optimal_rule(x), (c > 0).astype(np.int64))
+        np.testing.assert_array_equal(oracle.contrast(x[0]), c[:1])  # one point
 
 
 class TestEmpiricalValue:
@@ -270,6 +329,16 @@ class TestRunExperiment:
         assert rows[0].error != ""
         assert np.isnan(rows[0].value) and np.isnan(rows[0].regret)
 
+    @pytest.mark.parametrize(
+        "methods, message",
+        [(["mb-m1", "mb-m5", "mb-m1"], r"repeated methods \['mb-m1'\]"),
+         ([], "at least one method")],
+        ids=["repeated", "empty"],
+    )
+    def test_method_list_validation(self, methods, message):
+        with pytest.raises(ValueError, match=message):
+            run_experiment([spec(n=30)], methods, 1)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="unknown methods"):
             run_experiment([spec(n=30)], ["mb-m1", "forest"], 1)
@@ -403,6 +472,18 @@ class TestOneJobPerReplicate:
         for row in rows:
             assert row.error == "ValueError: need at least 2 units, got 1"
             assert np.isnan(row.value) and np.isnan(row.regret) and row.tree is None
+
+    def test_failed_draw_is_not_retried(self, monkeypatch):
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(simulation, "generate", spy)
+        rows = run_experiment([spec(n=1)], ["mb-m1", "mb-m5", "aipw-tree"], 1, seed=4, test_n=100)
+        assert len(calls) == 1
+        assert len({row.error for row in rows}) == 1 and rows[0].error
 
     def test_failed_method_leaves_the_others(self):
         settings = [spec(1, "linear", "tree", n=8)]
