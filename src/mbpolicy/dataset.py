@@ -22,7 +22,6 @@ __all__ = [
     "CsvSchema",
     "load_csv",
     "normalized_differences",
-    "concat_datasets",
 ]
 
 
@@ -37,6 +36,43 @@ def _freeze(obj: object, **fields: object) -> None:
             value = np.ascontiguousarray(value).view()
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
+
+
+def _check_int(name: str, value: object, low: int, high: int | None = None) -> int:
+    """value as a plain int, checked to be an integer (not a bool) in low..high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _check_choice(name: str, value: object, choices: tuple) -> int | str:
+    """value, checked to be one of choices: all ints (value as in _check_int) or all strs."""
+    if isinstance(choices[0], int):
+        value = _check_int(name, value, min(choices))
+    if not isinstance(value, type(choices[0])) or value not in choices:
+        listed = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+        raise ValueError(f"{name} must be {listed}, got {value!r}")
+    return value
+
+
+def _check_features(name: str, indices: Iterable, p: int | None = None) -> tuple[int, ...]:
+    """Feature indices as sorted distinct ints, checked nonempty and in 0..p-1 (>= 0 if no p)."""
+    high = None if p is None else p - 1
+    checked = tuple(sorted({_check_int(name, j, 0, high) for j in indices}))
+    if not checked:
+        raise ValueError(f"{name} must be nonempty")
+    return checked
+
+
+def _check_names(name: str, names: object) -> tuple[str, ...]:
+    """names as a tuple, checked to be a tuple or list of str (repeats allowed)."""
+    if not isinstance(names, (tuple, list)) or not all(isinstance(s, str) for s in names):
+        raise ValueError(f"{name} must be a tuple or list of str, got {names!r}")
+    return tuple(names)
 
 
 def _check_assignments(assignments: np.ndarray, n: int) -> np.ndarray:
@@ -94,14 +130,16 @@ class ObservationalDataset:
         if not np.all((wf == 0.0) | (wf == 1.0)):
             bad = int(np.flatnonzero((wf != 0.0) & (wf != 1.0))[0])
             raise ValueError(f"treatment must be 0 or 1 exactly; unit {bad} has w={w[bad]!r}")
-        names = tuple(self.feature_names)
+        names = _check_names("feature_names", self.feature_names)
         if len(names) != p:
             raise ValueError(f"{p} covariate columns but {len(names)} feature names")
         if len(set(names)) != p:
             raise ValueError("feature names must be unique")
         eligible = tuple(self.policy_eligible) if self.policy_eligible else (True,) * p
-        if len(eligible) != p:
-            raise ValueError(f"policy_eligible has length {len(eligible)}, expected {p}")
+        if len(eligible) != p or not all(isinstance(flag, bool) for flag in eligible):
+            raise ValueError(f"policy_eligible must hold {p} bools, got {eligible}")
+        if not any(eligible):
+            raise ValueError("policy_eligible marks no policy-eligible features")
         _freeze(
             self, x=x, w=wf.astype(np.int64), y=y, feature_names=names, policy_eligible=eligible
         )
@@ -130,13 +168,8 @@ class ObservationalDataset:
         unknown = [nm for nm in names if nm not in self.feature_names]
         if unknown:
             raise ValueError(f"unknown feature names: {unknown}")
-        eligible = tuple(
-            flag and (nm not in names)
-            for nm, flag in zip(self.feature_names, self.policy_eligible)
-        )
-        if not any(eligible):
-            raise ValueError("exclusion leaves no policy-eligible features")
-        return replace(self, policy_eligible=eligible)
+        kept = zip(self.feature_names, self.policy_eligible)
+        return replace(self, policy_eligible=tuple(f and nm not in names for nm, f in kept))
 
     def eligible_feature_indices(self) -> tuple[int, ...]:
         return tuple(j for j, flag in enumerate(self.policy_eligible) if flag)
@@ -172,7 +205,7 @@ class CsvSchema:
     covariates: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        cov = tuple(self.covariates)
+        cov = _check_names("covariates", self.covariates)
         if not cov:
             raise ValueError("schema needs at least one covariate column")
         roles = [self.treatment, self.outcome, *cov]
@@ -302,21 +335,3 @@ def normalized_differences(data: ObservationalDataset) -> BalanceReport:
         n_treated=len(idx1),
     )
 
-
-def concat_datasets(
-    first: ObservationalDataset, second: ObservationalDataset
-) -> ObservationalDataset:
-    """Row-append two datasets with identical feature names (e.g. DW + CPS3 controls)."""
-    if first.feature_names != second.feature_names:
-        raise ValueError(
-            f"feature names differ: {first.feature_names} vs {second.feature_names}"
-        )
-    if first.policy_eligible != second.policy_eligible:
-        raise ValueError("policy-eligibility flags differ between the datasets")
-    return ObservationalDataset(
-        x=np.vstack([first.x, second.x]),
-        w=np.concatenate([first.w, second.w]),
-        y=np.concatenate([first.y, second.y]),
-        feature_names=first.feature_names,
-        policy_eligible=first.policy_eligible,
-    )

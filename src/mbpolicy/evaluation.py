@@ -25,6 +25,7 @@ from .advantage import _mu_matrix
 from .dataset import (
     ObservationalDataset,
     _check_assignments,
+    _check_int,
     _check_propensities,
     _freeze,
     write_csv,
@@ -140,10 +141,8 @@ def cross_validate(
     to arm-proportion propensities and the full-data quadratic OLS outcome
     model. A learner failure flags the repeat (value NaN) and is recorded.
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    folds = _check_int("folds", folds, 2)
+    repeats = _check_int("repeats", repeats, 1)
     if data.n < folds:
         raise ValueError(f"n={data.n} is smaller than folds={folds}")
     e_full = _check_propensities(

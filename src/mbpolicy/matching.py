@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ObservationalDataset, _check_assignments, _freeze, write_csv
+from .dataset import ObservationalDataset, _check_assignments, _check_int, _freeze, write_csv
 from .metric import MahalanobisMetric
 from .outcome_models import OutcomeModel, predict_matrix
 
@@ -112,8 +112,7 @@ def match_units(
     Exact O(n^2 p) scan; ties broken by smallest unit index, over candidates
     listed in ascending index order (see _nearest). Deterministic.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    m = _check_int("m", m, 1)
     if metric.p != data.p:
         raise ValueError(f"metric is {metric.p}-d but data has p={data.p}")
     n0, n1 = data.n_control, data.n_treated

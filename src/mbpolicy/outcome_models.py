@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ObservationalDataset, _freeze
+from .dataset import ObservationalDataset, _check_choice, _check_int, _freeze
 
 __all__ = [
     "OutcomeModel",
@@ -88,8 +88,7 @@ class OutcomeModel:
 
 def predict_matrix(model: OutcomeModel, x: np.ndarray, w: int) -> np.ndarray:
     """Arm-w predictions for every row of x."""
-    if w not in (0, 1):
-        raise ValueError(f"w must be 0 or 1, got {w}")
+    w = _check_choice("w", w, (0, 1))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     features = expand_features(x, model.expansion)
     if features.shape[1] != model.n_expanded:
@@ -385,8 +384,7 @@ def fit_lasso_per_arm(
     to the larger penalty), refit on the whole arm at that penalty, and store
     coefficients on the original scale. The intercept is never penalized.
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    folds = _check_int("folds", folds, 2)
     arm_coef: list[np.ndarray] = []
     arm_lambda: list[float] = []
     for w, (x_arm, y_arm) in enumerate(_arm_views(data)):

@@ -31,7 +31,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .dataset import ObservationalDataset, _freeze
+from .dataset import (
+    ObservationalDataset, _check_choice, _check_features, _check_int, _check_names, _freeze,
+)
 from .matching import ImputedPotentialOutcomes, impute_bias_corrected, impute_raw, match_units
 from .metric import fit_mahalanobis
 from .outcome_models import fit_lasso_per_arm, fit_ols_per_arm
@@ -87,34 +89,33 @@ class TreePolicy:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.depth not in range(1, MAX_DEPTH + 1):
-            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
-        n_internal = 2**self.depth - 1
-        features = np.asarray(self.features, dtype=np.int64)
+        depth = _check_int("depth", self.depth, 1, MAX_DEPTH)
+        n_internal = 2**depth - 1
+        features = np.asarray(self.features)
         thresholds = np.asarray(self.thresholds, dtype=float)
-        leaves = np.asarray(self.leaf_actions, dtype=np.int64)
+        leaves = np.asarray(self.leaf_actions)
+        for name, array in (("features", features), ("leaf_actions", leaves)):
+            if array.dtype.kind not in "iu":
+                raise ValueError(f"{name} must have an integer dtype, got {array.dtype}")
         if features.shape != (n_internal,) or thresholds.shape != (n_internal,):
-            raise ValueError(f"expected {n_internal} internal nodes for depth {self.depth}")
+            raise ValueError(f"expected {n_internal} internal nodes for depth {depth}")
         if leaves.shape != (n_internal + 1,):
-            raise ValueError(f"expected {n_internal + 1} leaves for depth {self.depth}")
+            raise ValueError(f"expected {n_internal + 1} leaves for depth {depth}")
         if np.any(np.isnan(thresholds)):
             raise ValueError("thresholds must not be NaN")
         if not np.all(np.isin(leaves, (0, 1))):
             raise ValueError("leaf actions must be 0 or 1")
-        eligible = tuple(sorted({int(f) for f in self.eligible_features}))
-        if not eligible:
-            raise ValueError("eligible_features must be nonempty")
-        if eligible[0] < 0:
-            raise ValueError("feature indices must be nonnegative")
+        eligible = _check_features("eligible_features", self.eligible_features)
         if not set(features.tolist()) <= set(eligible):
             raise ValueError("every split feature must be in eligible_features")
         names = self.feature_names
         if names is not None:
-            names = tuple(str(s) for s in names)
-            if len(names) <= max(eligible):
+            names = _check_names("feature_names", names)
+            if len(names) <= eligible[-1]:
                 raise ValueError("feature_names too short for eligible_features")
         _freeze(
-            self, features=features, thresholds=thresholds, leaf_actions=leaves,
+            self, depth=depth, features=features.astype(np.int64, copy=False),
+            thresholds=thresholds, leaf_actions=leaves.astype(np.int64, copy=False),
             eligible_features=eligible, feature_names=names,
         )
 
@@ -257,8 +258,7 @@ def constant_policy(
     action: int, feature_names: tuple[str, ...] | None = None
 ) -> TreePolicy:
     """Degenerate stump assigning the same action everywhere (treat-all/none)."""
-    if action not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {action}")
+    action = _check_choice("action", action, (0, 1))
     return TreePolicy(
         depth=1,
         features=np.array([0]),
@@ -437,16 +437,10 @@ def search_tree(
         bounded = np.isfinite(4.0 * np.abs(gamma).sum())
     if not bounded:
         raise ValueError("gamma is too large: 4 * sum(|gamma|) overflows")
-    if depth not in range(1, MAX_DEPTH + 1):
-        raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
-    if eligible_features is None:
-        eligible = tuple(range(p))
-    else:
-        eligible = tuple(sorted({int(f) for f in eligible_features}))
-    if not eligible:
-        raise ValueError("eligible_features must be nonempty")
-    if eligible[0] < 0 or eligible[-1] >= p:
-        raise ValueError(f"eligible feature indices must lie in [0, {p})")
+    depth = _check_int("depth", depth, 1, MAX_DEPTH)
+    eligible = _check_features(
+        "eligible_features", range(p) if eligible_features is None else eligible_features, p
+    )
 
     per_feature = []
     for feature in eligible:
@@ -520,18 +514,12 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.correction not in CORRECTIONS:
-            raise ValueError(
-                f"correction must be one of {CORRECTIONS}, got {self.correction!r}"
-            )
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.depth not in range(1, MAX_DEPTH + 1):
-            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
-        if self.lasso_folds < 2:
-            raise ValueError(f"lasso_folds must be >= 2, got {self.lasso_folds}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _freeze(
+            self, correction=_check_choice("correction", self.correction, CORRECTIONS),
+            m=_check_int("m", self.m, 1), depth=_check_int("depth", self.depth, 1, MAX_DEPTH),
+            lasso_folds=_check_int("lasso_folds", self.lasso_folds, 2),
+            seed=_check_int("seed", self.seed, 0),
+        )
 
 
 class PolicyLearningError(RuntimeError):

@@ -11,7 +11,11 @@ import hashlib
 
 import numpy as np
 
+from .dataset import _check_int
+
 __all__ = ["derive_seed", "philox_rng"]
+
+_SEED_HIGH = 2**64 - 1  # the largest Philox key
 
 
 def derive_seed(*parts: object) -> int:
@@ -23,6 +27,4 @@ def derive_seed(*parts: object) -> int:
 
 def philox_rng(seed: int) -> np.random.Generator:
     """Philox generator keyed directly; distinct keys give independent streams."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=_check_int("seed", seed, 0, _SEED_HIGH)))

@@ -29,11 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .advantage import aipw_scores
-from .dataset import ObservationalDataset, _check_assignments, _freeze, write_csv
+from .dataset import (
+    ObservationalDataset, _check_assignments, _check_choice, _check_int, _freeze, write_csv,
+)
 from .evaluation import fit_linear_probability
 from .outcome_models import fit_ols_per_arm, predict_matrix
 from .policytree import LearnConfig, TreePolicy, evaluate_policy, learn_policy, search_tree
-from .seeding import derive_seed, philox_rng
+from .seeding import _SEED_HIGH, derive_seed, philox_rng
 
 __all__ = [
     "SimulationSpec",
@@ -128,17 +130,13 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, keys in (
-            ("propensity_scenario", SCENARIOS),
-            ("main_effect", MAIN_EFFECTS),
-            ("contrast", CONTRASTS),
-        ):
-            if getattr(self, name) not in keys:
-                raise ValueError(f"{name} must be one of {keys}, got {getattr(self, name)!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        scenario = _check_choice("propensity_scenario", self.propensity_scenario, SCENARIOS)
+        _freeze(
+            self, propensity_scenario=scenario,
+            main_effect=_check_choice("main_effect", self.main_effect, MAIN_EFFECTS),
+            contrast=_check_choice("contrast", self.contrast, CONTRASTS),
+            n=_check_int("n", self.n, 1), seed=_check_int("seed", self.seed, 0, _SEED_HIGH),
+        )
 
     def key(self) -> str:
         """Canonical text form of the setting, e.g. "s1-linear-tree-n500"."""
@@ -211,8 +209,7 @@ def true_advantage(
     policy: TreePolicy, spec: SimulationSpec, mc_draws: int, seed: int
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[(2 pi(X) - 1) c(X)] over fresh covariate draws."""
-    if mc_draws < 2:
-        raise ValueError(f"mc_draws must be >= 2 for a standard error, got {mc_draws}")
+    mc_draws = _check_int("mc_draws", mc_draws, 2)  # two for a standard error
     rng = philox_rng(seed)
     x = rng.standard_normal((mc_draws, N_FEATURES))
     signs = 2.0 * evaluate_policy(policy, x) - 1.0
@@ -350,10 +347,10 @@ def run_experiment(
     Rows come back ordered by setting, then method, then replicate, whatever
     threads is.
     """
-    if not settings or replications < 1:
+    replications = _check_int("replications", replications, 0)
+    if not settings or not replications:
         raise ValueError("need at least one setting and one replication")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = _check_int("threads", threads, 1)
     _check_methods(methods)
     jobs = [(setting, rep) for setting in settings for rep in range(replications)]
     if threads > 1:

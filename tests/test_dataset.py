@@ -1,7 +1,28 @@
+import re
+
 import numpy as np
 import pytest
 
-from mbpolicy import CsvSchema, ObservationalDataset, concat_datasets, load_csv, normalized_differences
+from mbpolicy import (
+    CsvSchema,
+    LearnConfig,
+    ObservationalDataset,
+    SimulationSpec,
+    TreePolicy,
+    constant_policy,
+    cross_validate,
+    fit_lasso_per_arm,
+    fit_mahalanobis,
+    fit_ols_per_arm,
+    load_csv,
+    match_units,
+    normalized_differences,
+    philox_rng,
+    predict_matrix,
+    run_experiment,
+    search_tree,
+    true_advantage,
+)
 from mbpolicy import dataset
 
 
@@ -188,42 +209,101 @@ class TestNormalizedDifferences:
         assert float(value) == report.normalized_diffs[0]
 
 
-def test_concat_appends_rows():
-    a = make_data([0.0, 1.0], [0, 1], [1.0, 2.0])
-    b = make_data([2.0, 3.0], [1, 0], [3.0, 4.0])
-    both = concat_datasets(a, b)
-    assert both.n == 4
-    np.testing.assert_array_equal(both.y, [1.0, 2.0, 3.0, 4.0])
+# Fixtures of the parameter-rule table: every call below fails on its checked
+# parameter before any fitting, search or draw starts.
+RULE_DATA = make_data(
+    np.random.default_rng(5).normal(size=(8, 2)), [0, 1] * 4, np.arange(8.0)
+)
+RULE_GAMMA = np.linspace(-1.0, 1.0, 8)
+RULE_SPEC = SimulationSpec(1, "linear", "tree", 50)
 
 
-def test_concat_requires_matching_names():
-    a = make_data([0.0, 1.0], [0, 1], [1.0, 2.0], names=("u",))
-    b = make_data([2.0, 3.0], [1, 0], [3.0, 4.0], names=("v",))
-    with pytest.raises(ValueError, match="feature names differ"):
-        concat_datasets(a, b)
+def rule_stump(**fields):
+    tree = dict(depth=1, features=np.array([0]), thresholds=np.array([0.0]),
+                leaf_actions=np.array([0, 1]), eligible_features=(0,))
+    return TreePolicy(**{**tree, **fields})
 
 
-class TestWriteCsv:
-    def test_exact_bytes(self, tmp_path):
-        path = tmp_path / "out.csv"
-        dataset.write_csv(path, ("label", "value"), [
-            ("nan", float("nan")),
-            ("inf", float("inf")),
-            ("negative zero", -0.0),
-            ("tenth", 0.1),
-            ("huge", 1e300),
-            ("numpy float", np.float64(0.1)),
-            ("numpy int", np.int64(7)),
-            ('a, "quoted"\nname', 2),
-        ])
-        assert path.read_bytes() == (
-            b"label,value\r\n"
-            b"nan,nan\r\n"
-            b"inf,inf\r\n"
-            b"negative zero,-0.0\r\n"
-            b"tenth,0.1\r\n"
-            b"huge,1e+300\r\n"
-            b"numpy float,0.1\r\n"
-            b"numpy int,7\r\n"
-            b'"a, ""quoted""\nname",2\r\n'
-        )
+# (parameter, call with the parameter set to a value, a value just below its bound)
+PARAMETER_RULES = [
+    ("m", lambda v: LearnConfig(m=v), 0),
+    ("correction", lambda v: LearnConfig(correction=v), "boost"),
+    ("depth", lambda v: LearnConfig(depth=v), 0),
+    ("lasso_folds", lambda v: LearnConfig(lasso_folds=v), 1),
+    ("seed", lambda v: LearnConfig(seed=v), -1),
+    ("depth", lambda v: rule_stump(depth=v), 0),
+    ("eligible_features", lambda v: rule_stump(eligible_features=(0, v)), -1),
+    ("action", constant_policy, -1),
+    ("depth", lambda v: search_tree(RULE_DATA.x, RULE_GAMMA, v), 0),
+    ("eligible_features", lambda v: search_tree(RULE_DATA.x, RULE_GAMMA, 1, (v,)), -1),
+    ("m", lambda v: match_units(RULE_DATA, fit_mahalanobis(RULE_DATA.x), v), 0),
+    ("w", lambda v: predict_matrix(fit_ols_per_arm(RULE_DATA, "linear"), RULE_DATA.x, v), -1),
+    ("folds", lambda v: fit_lasso_per_arm(RULE_DATA, folds=v), 1),
+    ("folds", lambda v: cross_validate(RULE_DATA, constant_policy, folds=v), 1),
+    ("repeats", lambda v: cross_validate(RULE_DATA, constant_policy, repeats=v), 0),
+    ("propensity_scenario", lambda v: SimulationSpec(v, "linear", "tree", 50), 0),
+    ("main_effect", lambda v: SimulationSpec(1, v, "tree", 50), "cubic"),
+    ("contrast", lambda v: SimulationSpec(1, "linear", v, 50), "step"),
+    ("n", lambda v: SimulationSpec(1, "linear", "tree", v), 0),
+    ("seed", lambda v: SimulationSpec(1, "linear", "tree", 50, v), -1),
+    ("mc_draws", lambda v: true_advantage(rule_stump(), RULE_SPEC, v, 0), 1),
+    ("replications", lambda v: run_experiment([RULE_SPEC], ["mb-m1"], v), -1),
+    ("threads", lambda v: run_experiment([RULE_SPEC], ["mb-m1"], 1, threads=v), 0),
+    ("seed", philox_rng, -1),
+]
+
+# (parameter, call): the malformed inputs of the integer, choice, index and name rules
+PARAMETER_PROBES = [
+    ("m", lambda: LearnConfig(m=1.5)),
+    ("depth", lambda: LearnConfig(depth=2.0)),
+    ("propensity_scenario", lambda: SimulationSpec(1.0, "linear", "tree", 500)),
+    ("n", lambda: SimulationSpec(1, "linear", "tree", n=500.0)),
+    ("features", lambda: rule_stump(features=[0.5], leaf_actions=[0.7, 1.2])),
+    ("leaf_actions", lambda: rule_stump(leaf_actions=[0.7, 1.2])),
+    ("features", lambda: rule_stump(features=np.array([True]))),
+    ("depth", lambda: search_tree(RULE_DATA.x, RULE_GAMMA, True)),
+    ("eligible_features", lambda: search_tree(RULE_DATA.x, RULE_GAMMA, 1, (0.5,))),
+    ("eligible_features", lambda: search_tree(RULE_DATA.x, RULE_GAMMA, 1, (2,))),
+    ("eligible_features", lambda: rule_stump(eligible_features=())),
+    ("policy_eligible", lambda: ObservationalDataset(
+        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), (False, False))),
+    ("policy_eligible", lambda: ObservationalDataset(
+        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), ("no", ""))),
+    ("feature_names", lambda: ObservationalDataset(RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, "ab")),
+    ("feature_names", lambda: ObservationalDataset(
+        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", 2))),
+    ("covariates", lambda: CsvSchema(treatment="w", outcome="y", covariates="ab")),
+    ("covariates", lambda: CsvSchema(treatment="w", outcome="y", covariates=["a", 1])),
+    ("feature_names", lambda: rule_stump(feature_names=[1])),
+    ("feature_names", lambda: rule_stump(feature_names="a")),
+]
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize("kind", ["bool", "float", "numpy-float", "below"])
+    @pytest.mark.parametrize(
+        "parameter, call, below", PARAMETER_RULES,
+        ids=[f"{k}-{rule[0]}" for k, rule in enumerate(PARAMETER_RULES)],
+    )
+    def test_malformed_value_names_the_parameter(self, parameter, call, below, kind):
+        value = {"bool": True, "float": 1.5, "numpy-float": np.float64(2.0), "below": below}[kind]
+        with pytest.raises(ValueError, match=f"^{re.escape(parameter)} must "):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "parameter, call", PARAMETER_PROBES,
+        ids=[f"{k}-{probe[0]}" for k, probe in enumerate(PARAMETER_PROBES)],
+    )
+    def test_probe_names_the_parameter(self, parameter, call):
+        with pytest.raises(ValueError, match=f"^{re.escape(parameter)} "):
+            call()
+
+    def test_numpy_integers_are_stored_as_int(self):
+        spec = SimulationSpec(np.int64(1), "linear", "tree", np.int64(500))
+        assert spec.key() == "s1-linear-tree-n500"
+        assert type(spec.propensity_scenario) is int and type(spec.n) is int
+        config = LearnConfig(m=np.int32(3), depth=np.int64(1))
+        assert type(config.m) is int and type(config.depth) is int
+        tree = rule_stump(depth=np.int64(1), eligible_features=(np.int64(1), 0, 1))
+        assert type(tree.depth) is int and tree.eligible_features == (0, 1)
+        assert all(type(j) is int for j in tree.eligible_features)

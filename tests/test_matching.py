@@ -1,8 +1,9 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mbpolicy import (
     MahalanobisMetric,
@@ -152,12 +153,18 @@ class TestArmSwap:
         m=st.integers(1, 3),
         rounded=st.booleans(),
     )
+    @example(seed=29, n=6, p=1, m=1, rounded=True)  # every x rounds to 0: no metric
     def test_swap_keeps_matches_and_splits_and_negates_gamma(self, seed, n, p, m, rounded):
         data = random_dataset(np.random.default_rng(seed), n, p, min_arm=m)
         if rounded:  # exactly tied distances and outcomes
             data = replace(data, x=np.round(data.x), y=np.round(data.y))
         swapped = replace(data, w=1 - data.w)
-        metric = fit_mahalanobis(data.x)
+        try:
+            metric = fit_mahalanobis(data.x)
+        except ValueError as exc:  # the swap keeps x, so it fails the same way
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                fit_mahalanobis(swapped.x)
+            return
         matches, mirrored = match_units(data, metric, m), match_units(swapped, metric, m)
         for name in ("matched_sets", "distances", "k_counts"):
             assert getattr(mirrored, name).tobytes() == getattr(matches, name).tobytes(), name
