@@ -209,6 +209,32 @@ class TestNormalizedDifferences:
         assert float(value) == report.normalized_diffs[0]
 
 
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        dataset.write_csv(path, ("label", "value"), [
+            ("nan", float("nan")),
+            ("inf", float("inf")),
+            ("negative zero", -0.0),
+            ("tenth", 0.1),
+            ("huge", 1e300),
+            ("numpy float", np.float64(0.1)),
+            ("numpy int", np.int64(7)),
+            ('a, "quoted"\nname', 2),
+        ])
+        assert path.read_bytes() == (
+            b"label,value\r\n"
+            b"nan,nan\r\n"
+            b"inf,inf\r\n"
+            b"negative zero,-0.0\r\n"
+            b"tenth,0.1\r\n"
+            b"huge,1e+300\r\n"
+            b"numpy float,0.1\r\n"
+            b"numpy int,7\r\n"
+            b'"a, ""quoted""\nname",2\r\n'
+        )
+
+
 # Fixtures of the parameter-rule table: every call below fails on its checked
 # parameter before any fitting, search or draw starts.
 RULE_DATA = make_data(
