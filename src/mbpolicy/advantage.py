@@ -16,7 +16,7 @@ arm and returns one value per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,17 +45,16 @@ class AdvantageDecomposition:
     a_bar: average signed true treatment effect (the estimand's plug-in).
     e_m: weighted average of outcome noise around the true mean function.
     b_m: conditional bias from covariate discrepancy within matched sets.
-    total: a_bar + e_m + b_m, equal to the raw estimate.
+    total: a_bar + e_m + b_m, equal to the raw estimate (derived, not passed).
     """
 
     a_bar: float
     e_m: float
     b_m: float
-    total: float
+    total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if abs(self.total - (self.a_bar + self.e_m + self.b_m)) > 1e-10:
-            raise ValueError("decomposition terms do not sum to total")
+        _freeze(self, total=self.a_bar + self.e_m + self.b_m)
 
 
 @dataclass(frozen=True)
@@ -178,9 +177,7 @@ def decompose_advantage(
     e_m = float(np.mean(w_signs * (signs + k_pi / matches.m) * eps))
     b_m = _discrepancy(data, matches, signs, mu0, mu1)
 
-    return AdvantageDecomposition(
-        a_bar=a_bar, e_m=e_m, b_m=b_m, total=a_bar + e_m + b_m
-    )
+    return AdvantageDecomposition(a_bar=a_bar, e_m=e_m, b_m=b_m)
 
 
 def estimate_conditional_bias(

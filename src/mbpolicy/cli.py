@@ -268,7 +268,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             **_data_parameters(args, data),
             "excluded_from_policy": sorted(
                 set(data.feature_names)
-                - {data.feature_names[j] for j in data.eligible_feature_indices()}
+                - {data.feature_names[j] for j in data.eligible_features or range(data.p)}
             ),
         },
         inputs={"data": path},
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     depths = range(1, MAX_DEPTH + 1)
     learn_defaults = LearnConfig()
-    positive, at_least_two = _int_at_least(1), _int_at_least(2)
+    non_negative, positive, at_least_two = _int_at_least(0), _int_at_least(1), _int_at_least(2)
 
     sim = sub.add_parser("simulate", help="replicated simulation runs on one setting")
     sim.add_argument("--scenario", type=int, choices=SCENARIOS, required=True)
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--correction", choices=CORRECTIONS, default=learn_defaults.correction)
     learn.add_argument("--depth", type=int, choices=depths, default=learn_defaults.depth)
     learn.add_argument("--lasso-folds", type=at_least_two, default=learn_defaults.lasso_folds)
-    learn.add_argument("--seed", type=int, default=learn_defaults.seed)
+    learn.add_argument("--seed", type=non_negative, default=learn_defaults.seed)
     learn.add_argument("--out", default="")
     learn.set_defaults(func=cmd_learn)
 
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="proportions",
         help="plug-in propensity: arm proportions (randomized) or linear probability",
     )
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=non_negative, default=0)
     ev.add_argument("--out", default="")
     ev.set_defaults(func=cmd_evaluate)
 

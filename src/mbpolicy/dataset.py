@@ -38,12 +38,12 @@ def _freeze(obj: object, **fields: object) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _check_int(name: str, value: object, low: int, high: int | None = None) -> int:
-    """value as a plain int, checked to be an integer (not a bool) in low..high."""
+def _check_int(name: str, value: object, low: int | None, high: int | None = None) -> int:
+    """value as a plain int, checked to be an integer (not a bool) in low..high (None: no bound)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
-    if value < low or high is not None and value > high:
+    if low is not None and value < low or high is not None and value > high:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return value
@@ -62,6 +62,8 @@ def _check_choice(name: str, value: object, choices: tuple) -> int | str:
 def _check_features(name: str, indices: Iterable, p: int | None = None) -> tuple[int, ...]:
     """Feature indices as sorted distinct ints, checked nonempty and in 0..p-1 (>= 0 if no p)."""
     high = None if p is None else p - 1
+    if not isinstance(indices, Iterable):
+        raise ValueError(f"{name} must be a collection of feature indices, got {indices!r}")
     checked = tuple(sorted({_check_int(name, j, 0, high) for j in indices}))
     if not checked:
         raise ValueError(f"{name} must be nonempty")
@@ -99,15 +101,15 @@ def _check_propensities(e_hat: np.ndarray, n: int) -> np.ndarray:
 class ObservationalDataset:
     """Immutable observational study: n units with p covariates, binary treatment, outcome.
 
-    ``policy_eligible`` marks which covariates a learned policy may split on
-    (all by default); estimation always uses every covariate.
+    ``eligible_features`` lists the indices of the covariates a learned policy
+    may split on (None: all); estimation always uses every covariate.
     """
 
     x: np.ndarray
     w: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
-    policy_eligible: tuple[bool, ...] = ()
+    eligible_features: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -135,13 +137,11 @@ class ObservationalDataset:
             raise ValueError(f"{p} covariate columns but {len(names)} feature names")
         if len(set(names)) != p:
             raise ValueError("feature names must be unique")
-        eligible = tuple(self.policy_eligible) if self.policy_eligible else (True,) * p
-        if len(eligible) != p or not all(isinstance(flag, bool) for flag in eligible):
-            raise ValueError(f"policy_eligible must hold {p} bools, got {eligible}")
-        if not any(eligible):
-            raise ValueError("policy_eligible marks no policy-eligible features")
+        eligible = self.eligible_features
+        if eligible is not None:
+            eligible = _check_features("eligible_features", eligible, p)
         _freeze(
-            self, x=x, w=wf.astype(np.int64), y=y, feature_names=names, policy_eligible=eligible
+            self, x=x, w=wf.astype(np.int64), y=y, feature_names=names, eligible_features=eligible
         )
 
     @property
@@ -168,11 +168,11 @@ class ObservationalDataset:
         unknown = [nm for nm in names if nm not in self.feature_names]
         if unknown:
             raise ValueError(f"unknown feature names: {unknown}")
-        kept = zip(self.feature_names, self.policy_eligible)
-        return replace(self, policy_eligible=tuple(f and nm not in names for nm, f in kept))
-
-    def eligible_feature_indices(self) -> tuple[int, ...]:
-        return tuple(j for j, flag in enumerate(self.policy_eligible) if flag)
+        eligible = self.eligible_features or range(self.p)
+        kept = tuple(j for j in eligible if self.feature_names[j] not in names)
+        if not kept:
+            raise ValueError(f"excluding {list(names)} leaves no policy-eligible features")
+        return replace(self, eligible_features=kept)
 
     def subset(self, indices: np.ndarray) -> "ObservationalDataset":
         """Row subset (e.g. one cross-validation fold), preserving metadata."""

@@ -14,7 +14,7 @@ dataset, matching the protocol of evaluating with design-level propensities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -97,23 +97,27 @@ class CrossValReport:
     """Aggregated repeated cross-validation values for one learner.
 
     values holds one fold-averaged value per repeat (NaN when any fold of
-    that repeat failed); mean/std aggregate the non-failed repeats with the
-    (count - 1) standard-deviation denominator. failures lists one message
-    per failed (repeat, fold).
+    that repeat failed); failures lists one message per failed (repeat,
+    fold). Derived, not passed: repeats (the number of values) and mean/std,
+    which aggregate the non-failed repeats with the (count - 1)
+    standard-deviation denominator.
     """
 
     values: np.ndarray
-    mean: float
-    std: float
     folds: int
-    repeats: int
     failures: tuple[str, ...] = ()
+    mean: float = field(init=False)
+    std: float = field(init=False)
+    repeats: int = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.repeats,):
-            raise ValueError(f"expected {self.repeats} per-repeat values")
-        _freeze(self, values=values)
+        if values.ndim != 1:
+            raise ValueError(f"values must be one per repeat, got shape {values.shape}")
+        valid = values[~np.isnan(values)]
+        mean = float(valid.mean()) if valid.size else float("nan")
+        std = float(valid.std(ddof=1)) if valid.size > 1 else float("nan")
+        _freeze(self, values=values, mean=mean, std=std, repeats=len(values))
 
     @property
     def n_failed_repeats(self) -> int:
@@ -143,6 +147,7 @@ def cross_validate(
     """
     folds = _check_int("folds", folds, 2)
     repeats = _check_int("repeats", repeats, 1)
+    seed = _check_int("seed", seed, None)
     if data.n < folds:
         raise ValueError(f"n={data.n} is smaller than folds={folds}")
     e_full = _check_propensities(
@@ -171,15 +176,4 @@ def cross_validate(
                 failures.append(f"repeat {rep} fold {k}: {type(exc).__name__}: {exc}")
                 failed = True
         values[rep] = float("nan") if failed else float(fold_values.mean())
-
-    valid = values[~np.isnan(values)]
-    mean = float(valid.mean()) if valid.size else float("nan")
-    std = float(valid.std(ddof=1)) if valid.size > 1 else float("nan")
-    return CrossValReport(
-        values=values,
-        mean=mean,
-        std=std,
-        folds=folds,
-        repeats=repeats,
-        failures=tuple(failures),
-    )
+    return CrossValReport(values=values, folds=folds, failures=tuple(failures))

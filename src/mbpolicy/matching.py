@@ -10,7 +10,7 @@ each unit's observed outcome and differ only in the counterfactual they fill in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +33,28 @@ _BLOCK_BYTES = 1 << 23  # budget for one block's (rows, candidates, p) differenc
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Matched sets J_M(i) for all units, their distances, and match-usage counts."""
+    """Matched sets J_M(i) for all units, their distances, and match-usage counts.
 
-    m: int
+    m and k_counts are derived from matched_sets, not passed.
+    """
+
     matched_sets: np.ndarray   # (n, m) original unit indices, nearest first
     distances: np.ndarray      # (n, m) metric distances, parallel to matched_sets
-    k_counts: np.ndarray       # (n,) number of times each unit appears in a matched set
+    m: int = field(init=False)                # matches per unit
+    k_counts: np.ndarray = field(init=False)  # (n,) number of matched sets each unit is in
 
     def __post_init__(self) -> None:
         sets = np.asarray(self.matched_sets, dtype=np.int64)
         dists = np.asarray(self.distances, dtype=float)
-        counts = np.asarray(self.k_counts, dtype=np.int64)
+        if sets.ndim != 2 or sets.shape[1] == 0 or dists.shape != sets.shape:
+            raise ValueError("matched_sets and distances must be equal (n, m) arrays, m >= 1")
         n = sets.shape[0]
-        if sets.shape != (n, self.m) or dists.shape != (n, self.m) or counts.shape != (n,):
-            raise ValueError("inconsistent MatchResult array shapes")
-        _freeze(self, matched_sets=sets, distances=dists, k_counts=counts)
+        if np.any((sets < 0) | (sets >= n)):
+            raise ValueError(f"matched_sets must hold unit indices in 0..{n - 1}")
+        _freeze(
+            self, matched_sets=sets, distances=dists, m=sets.shape[1],
+            k_counts=np.bincount(sets.ravel(), minlength=n),
+        )
 
     @property
     def n(self) -> int:
@@ -62,22 +69,21 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class ImputedPotentialOutcomes:
-    """Per-unit imputed outcome pair and score gamma_i = y1_i - y0_i.
+    """Per-unit imputed outcome pair and the derived score gamma_i = y1_i - y0_i.
 
     The entry for a unit's observed arm is its observed outcome verbatim.
     """
 
     y0: np.ndarray
     y1: np.ndarray
-    gamma: np.ndarray
+    gamma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         y0 = np.asarray(self.y0, dtype=float)
         y1 = np.asarray(self.y1, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
-        if not (y0.shape == y1.shape == gamma.shape) or y0.ndim != 1:
-            raise ValueError("y0, y1, gamma must be equal-length vectors")
-        _freeze(self, y0=y0, y1=y1, gamma=gamma)
+        if y0.shape != y1.shape or y0.ndim != 1:
+            raise ValueError("y0 and y1 must be equal-length vectors")
+        _freeze(self, y0=y0, y1=y1, gamma=y1 - y0)
 
     @property
     def n(self) -> int:
@@ -140,12 +146,11 @@ def match_units(
             matched_sets[block] = cands[order]
             dists[block] = np.sqrt(np.take_along_axis(d2, order, axis=1))
 
-    k_counts = np.bincount(matched_sets.ravel(), minlength=n)
-    return MatchResult(m=m, matched_sets=matched_sets, distances=dists, k_counts=k_counts)
+    return MatchResult(matched_sets=matched_sets, distances=dists)
 
 
 def _check_fresh(data: ObservationalDataset, matches: MatchResult) -> None:
-    if matches.n != data.n or int(matches.matched_sets.max()) >= data.n:
+    if matches.n != data.n:
         raise ValueError("MatchResult does not correspond to this dataset (stale indices)")
     if np.any(data.w[matches.matched_sets] != (1 - data.w)[:, None]):
         raise ValueError("MatchResult arms inconsistent with dataset (stale match)")
@@ -155,7 +160,7 @@ def _imputed(data: ObservationalDataset, counterfactual: np.ndarray) -> ImputedP
     """Observed outcome on each unit's own arm, the counterfactual on the other."""
     y0 = np.where(data.w == 0, data.y, counterfactual)
     y1 = np.where(data.w == 1, data.y, counterfactual)
-    return ImputedPotentialOutcomes(y0=y0, y1=y1, gamma=y1 - y0)
+    return ImputedPotentialOutcomes(y0=y0, y1=y1)
 
 
 def impute_raw(

@@ -566,11 +566,10 @@ def learn_policy(
     lasso cross-validation shuffle. Pass a precomputed imputation to reuse it
     (e.g. when the per-unit scores are also being reported).
     """
-    eligible = data.eligible_feature_indices()
     if imputed is None:
         imputed = impute_scores(data, config)
     tree = _run_stage(
         "search",
-        lambda: search_tree(data.x, imputed.gamma, config.depth, eligible),
+        lambda: search_tree(data.x, imputed.gamma, config.depth, data.eligible_features),
     )
     return replace(tree, feature_names=data.feature_names)

@@ -235,7 +235,7 @@ def learn_with_method(
         e_hat = fit_linear_probability(data)
         mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
         scores = aipw_scores(data, e_hat, mu_hat)
-        tree = search_tree(data.x, scores.gamma, depth, data.eligible_feature_indices())
+        tree = search_tree(data.x, scores.gamma, depth, data.eligible_features)
         return replace(tree, feature_names=data.feature_names)
     config = replace(METHODS[method], depth=depth, seed=seed)
     return learn_policy(data, config)
@@ -351,6 +351,7 @@ def run_experiment(
     if not settings or not replications:
         raise ValueError("need at least one setting and one replication")
     threads = _check_int("threads", threads, 1)
+    seed = _check_int("seed", seed, None)
     _check_methods(methods)
     jobs = [(setting, rep) for setting in settings for rep in range(replications)]
     if threads > 1:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mbpolicy import (
+    AdvantageDecomposition,
     ImputedPotentialOutcomes,
     ObservationalDataset,
     advantage_estimate,
@@ -22,7 +23,7 @@ from _oracles import random_dataset, random_tree
 
 def imputed_from(gamma):
     gamma = np.asarray(gamma, dtype=float)
-    return ImputedPotentialOutcomes(y0=np.zeros_like(gamma), y1=gamma, gamma=gamma)
+    return ImputedPotentialOutcomes(y0=np.zeros_like(gamma), y1=gamma)
 
 
 def random_assignments(rng, data):
@@ -114,6 +115,12 @@ def duplicated_covariate_data(rng, half_n, p, y_fn):
 
 
 class TestDecomposition:
+    def test_total_is_derived_from_the_terms(self):
+        parts = AdvantageDecomposition(a_bar=0.5, e_m=0.25, b_m=-1.0)
+        assert parts.total == 0.5 + 0.25 - 1.0
+        with pytest.raises(TypeError):
+            AdvantageDecomposition(a_bar=0.5, e_m=0.25, b_m=-1.0, total=9.0)
+
     def test_pure_noise_is_all_noise_term(self):
         rng = np.random.default_rng(47)
         data = random_dataset(rng, 30, 2, min_arm=4)

@@ -269,10 +269,14 @@ class TestEvaluate:
         assert not out.exists()
 
     def test_cv_failures_are_written_per_fold(self, eval_csv, tmp_path, capsys):
+        # four treated units: every training fold has fewer than mb-m5's five matches
+        header, *rows = eval_csv.read_text().splitlines()
+        rows = [("0" + row[1:]) if k >= 8 else row for k, row in enumerate(rows)]
+        eval_csv.write_text("\n".join([header, *rows]) + "\n")
         out = tmp_path / "cv"
         code = main([
             "evaluate", "--data", str(eval_csv), "--cv", "--repeats", "1",
-            "--method", "mb-m1", "--seed", "-1", "--out", str(out),
+            "--method", "mb-m5", "--out", str(out),
         ])
         assert code == 1
         assert "cv_failures.csv" in capsys.readouterr().err
@@ -282,8 +286,18 @@ class TestEvaluate:
         assert len(rows) == 1 + 5  # one row per fold of the failed repeat
         for k, (failure,) in enumerate(rows[1:]):
             assert failure.startswith(f"repeat 0 fold {k}: ")
-            assert "seed must be >= 0" in failure
+            assert "each arm needs >= m=5 units" in failure
         assert "cv_failures.csv" in (out / "outputs.sha256").read_text()
+
+
+@pytest.mark.parametrize("command", [["learn"], ["evaluate", "--cv", "--method", "mb-m1"]])
+def test_negative_seed_is_a_usage_error(eval_csv, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--data", str(eval_csv), "--seed", "-1", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "--seed: must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestBalance:

@@ -124,8 +124,7 @@ class TestDatasetInvariants:
         sub = data.subset(np.array([2, 3]))
         assert sub.n == 2
         np.testing.assert_array_equal(sub.y, [3.0, 4.0])
-        assert sub.policy_eligible == (True, False)
-        assert sub.eligible_feature_indices() == (0,)
+        assert sub.eligible_features == (0,)
 
     def test_excluding_unknown_name(self):
         data = make_data([[0.0], [1.0]], [0, 1], [1.0, 2.0])
@@ -291,10 +290,10 @@ PARAMETER_PROBES = [
     ("eligible_features", lambda: search_tree(RULE_DATA.x, RULE_GAMMA, 1, (0.5,))),
     ("eligible_features", lambda: search_tree(RULE_DATA.x, RULE_GAMMA, 1, (2,))),
     ("eligible_features", lambda: rule_stump(eligible_features=())),
-    ("policy_eligible", lambda: ObservationalDataset(
-        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), (False, False))),
-    ("policy_eligible", lambda: ObservationalDataset(
-        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), ("no", ""))),
+    ("eligible_features", lambda: ObservationalDataset(
+        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), ())),
+    ("eligible_features", lambda: ObservationalDataset(
+        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), (0, 2))),
     ("feature_names", lambda: ObservationalDataset(RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, "ab")),
     ("feature_names", lambda: ObservationalDataset(
         RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", 2))),
@@ -302,6 +301,14 @@ PARAMETER_PROBES = [
     ("covariates", lambda: CsvSchema(treatment="w", outcome="y", covariates=["a", 1])),
     ("feature_names", lambda: rule_stump(feature_names=[1])),
     ("feature_names", lambda: rule_stump(feature_names="a")),
+    ("seed", lambda: run_experiment([RULE_SPEC], ["mb-m1"], 1, seed=1.0)),
+    ("seed", lambda: run_experiment([RULE_SPEC], ["mb-m1"], 1, seed=True)),
+    ("seed", lambda: cross_validate(RULE_DATA, constant_policy, seed=1.0)),
+    ("seed", lambda: cross_validate(RULE_DATA, constant_policy, seed=True)),
+    ("eligible_features", lambda: search_tree(RULE_DATA.x, RULE_GAMMA, 1, 3)),
+    ("eligible_features", lambda: rule_stump(eligible_features=3)),
+    ("eligible_features", lambda: ObservationalDataset(
+        RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), eligible_features=3)),
 ]
 
 

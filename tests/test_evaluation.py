@@ -237,10 +237,22 @@ class TestCrossValidate:
         stderr = estimates.std(ddof=1) / np.sqrt(500)
         assert abs(estimates.mean() - 0.5) < 2 * stderr
 
+    @pytest.mark.parametrize("values, mean, std", [
+        ([1.5, float("nan"), 2.5], 2.0, np.std([1.5, 2.5], ddof=1)),
+        ([float("nan"), 4.0], 4.0, float("nan")),
+        ([float("nan")], float("nan"), float("nan")),
+    ])
+    def test_report_derives_repeats_mean_and_std(self, values, mean, std):
+        report = CrossValReport(values=values, folds=5)
+        assert report.repeats == len(values)
+        np.testing.assert_array_equal([report.mean, report.std], [mean, std])
+        with pytest.raises(TypeError):
+            CrossValReport(values=values, folds=5, mean=99.0)
+
     def test_report_csv(self, tmp_path):
         report = CrossValReport(
             values=np.array([1.5, float("nan"), 2.5]),
-            mean=2.0, std=0.5, folds=5, repeats=3,
+            folds=5,
             failures=("repeat 1 fold 2: ValueError: x",),
         )
         path = tmp_path / "cv.csv"

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mbpolicy import (
+    ImputedPotentialOutcomes,
     MahalanobisMetric,
+    MatchResult,
     ObservationalDataset,
     fit_mahalanobis,
     impute_raw,
@@ -28,6 +30,27 @@ def four_unit_example(y=(5.0, 1.0, 4.0, 2.0)):
         y=np.array(y, dtype=float),
         feature_names=("x",),
     )
+
+
+class TestDerivedFields:
+    def test_match_result_derives_m_and_k_counts(self):
+        matches = MatchResult(matched_sets=[[2, 1], [2, 0], [0, 2]], distances=np.ones((3, 2)))
+        assert matches.m == 2
+        np.testing.assert_array_equal(matches.k_counts, [2, 1, 3])
+        with pytest.raises(TypeError):
+            MatchResult(matched_sets=[[1], [0]], distances=[[1.0], [1.0]], k_counts=[0, 0])
+
+    @pytest.mark.parametrize("sets", [[[1], [2]], [[1], [-1]], np.empty((2, 0), dtype=int)],
+                             ids=["past-n", "negative", "no-columns"])
+    def test_match_result_rejects_bad_sets(self, sets):
+        with pytest.raises(ValueError, match="matched_sets"):
+            MatchResult(matched_sets=sets, distances=np.ones(np.shape(sets)))
+
+    def test_imputation_derives_gamma(self):
+        imputed = ImputedPotentialOutcomes(y0=[1.0, 2.5, -0.0], y1=[4.0, -1.0, 0.0])
+        np.testing.assert_array_equal(imputed.gamma, [3.0, -3.5, 0.0])
+        with pytest.raises(TypeError):
+            ImputedPotentialOutcomes(y0=[0.0], y1=[1.0], gamma=[5.0])
 
 
 class TestMatchUnits:
