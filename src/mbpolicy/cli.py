@@ -13,17 +13,17 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
-from .dataset import CsvSchema, _read_header, load_csv, normalized_differences, write_csv
+from .dataset import CsvSchema, load_csv, normalized_differences, write_csv
 from .evaluation import (
     aipw_value_estimate,
     arm_proportion_propensity,
@@ -109,7 +109,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_manifest(
@@ -138,17 +139,7 @@ def _load_dataset(args: argparse.Namespace):
     path = Path(args.data)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _read_header(csv.reader(fh), path)
-    if args.covariates:
-        covariates = _split_csv_flag(args.covariates)
-    else:
-        covariates = [c for c in header if c not in (args.treatment_col, args.outcome_col)]
-    schema = CsvSchema(
-        treatment=args.treatment_col,
-        outcome=args.outcome_col,
-        covariates=tuple(covariates),
-    )
+    schema = CsvSchema(args.treatment_col, args.outcome_col, _split_csv_flag(args.covariates))
     data = load_csv(path, schema)
     if args.exclude:
         data = data.excluding_from_policy(_split_csv_flag(args.exclude))
@@ -157,10 +148,14 @@ def _load_dataset(args: argparse.Namespace):
 
 def _data_parameters(args: argparse.Namespace, data) -> dict:
     """Manifest entries for the data flags shared by learn, evaluate and balance."""
+    eligible = data.eligible_features or range(data.p)
     return {
         "treatment_col": args.treatment_col,
         "outcome_col": args.outcome_col,
         "covariates": list(data.feature_names),
+        "excluded_from_policy": sorted(
+            name for j, name in enumerate(data.feature_names) if j not in eligible
+        ),
     }
 
 
@@ -261,17 +256,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     _write_manifest(
-        out,
-        "learn",
-        {
-            **asdict(config),
-            **_data_parameters(args, data),
-            "excluded_from_policy": sorted(
-                set(data.feature_names)
-                - {data.feature_names[j] for j in data.eligible_features or range(data.p)}
-            ),
-        },
-        inputs={"data": path},
+        out, "learn", {**asdict(config), **_data_parameters(args, data)}, inputs={"data": path}
     )
     imputed = impute_scores(data, config)
     tree = learn_policy(data, config, imputed=imputed)
@@ -316,8 +301,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report.to_csv(out / "cv_values.csv")
         write_csv(out / "cv_failures.csv", ("failure",), ((f,) for f in report.failures))
         _write_json(out / "evaluation.json", {
-            "cv_mean": report.mean,
-            "cv_std": report.std,
+            "cv_mean": report.mean if math.isfinite(report.mean) else None,
+            "cv_std": report.std if math.isfinite(report.std) else None,
             "folds": report.folds,
             "repeats": report.repeats,
             "failed_repeats": report.n_failed_repeats,

@@ -198,7 +198,10 @@ class BalanceReport:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column-role mapping for CSV ingestion: roles are assigned by header name."""
+    """Column-role mapping for CSV ingestion: roles are assigned by header name.
+
+    Empty covariates means every header column other than treatment and outcome.
+    """
 
     treatment: str
     outcome: str
@@ -206,8 +209,6 @@ class CsvSchema:
 
     def __post_init__(self) -> None:
         cov = _check_names("covariates", self.covariates)
-        if not cov:
-            raise ValueError("schema needs at least one covariate column")
         roles = [self.treatment, self.outcome, *cov]
         if len(set(roles)) != len(roles):
             raise ValueError("schema assigns one column to multiple roles")
@@ -252,14 +253,17 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         col_of = {name: idx for idx, name in enumerate(header)}
-        needed = [schema.treatment, schema.outcome, *schema.covariates]
-        missing = [name for name in needed if name not in col_of]
+        roles = (schema.treatment, schema.outcome)
+        covariates = schema.covariates or tuple(name for name in header if name not in roles)
+        missing = [name for name in (*roles, *covariates) if name not in col_of]
         if missing:
             raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
+        if not covariates:
+            raise ValueError(f"{path}: no covariate column besides {list(roles)}")
 
         w_col = col_of[schema.treatment]
         y_col = col_of[schema.outcome]
-        x_cols = [col_of[name] for name in schema.covariates]
+        x_cols = [col_of[name] for name in covariates]
 
         x_rows: list[list[float]] = []
         w_vals: list[int] = []
@@ -293,7 +297,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
                 )
             w_vals.append(int(w_raw))
             y_vals.append(parse(y_col, schema.outcome))
-            x_rows.append([parse(c, name) for c, name in zip(x_cols, schema.covariates)])
+            x_rows.append([parse(c, name) for c, name in zip(x_cols, covariates)])
 
     if len(x_rows) < 2:
         raise ValueError(f"{path}: found {len(x_rows)} data rows, need at least 2")
@@ -301,7 +305,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
         x=np.array(x_rows, dtype=float),
         w=np.array(w_vals, dtype=np.int64),
         y=np.array(y_vals, dtype=float),
-        feature_names=schema.covariates,
+        feature_names=covariates,
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -122,14 +122,9 @@ class TreePolicy:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePolicy):
             return NotImplemented
-        return (
-            self.depth == other.depth
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.thresholds, other.thresholds)
-            and np.array_equal(self.leaf_actions, other.leaf_actions)
-            and self.eligible_features == other.eligible_features
-            and self.feature_names == other.feature_names
-        )
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        # == for names: np.array_equal calls ("a",) and ("a\x00",) equal
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def _label(self, feature: int) -> str:
         if self.feature_names is None:
@@ -217,15 +212,10 @@ class TreePolicy:
         )
 
     def to_json(self) -> str:
+        """One key per field, in field order; arrays as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(
-            {
-                "depth": self.depth,
-                "features": self.features.tolist(),
-                "thresholds": self.thresholds.tolist(),
-                "leaf_actions": self.leaf_actions.tolist(),
-                "eligible_features": self.eligible_features,
-                "feature_names": self.feature_names,
-            },
+            {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()},
             indent=2,
         )
 
@@ -236,7 +226,7 @@ class TreePolicy:
         if not isinstance(payload, dict):
             raise ValueError(f"policy JSON must be an object, got {type(payload).__name__}")
         payload.setdefault("feature_names", None)
-        fields = {}
+        values = {}
         for key, convert in (
             ("depth", lambda v: _json_list([v], "integer")[0]),
             ("features", lambda v: np.array(_json_list(v, "integer"), dtype=np.int64)),
@@ -248,10 +238,10 @@ class TreePolicy:
             if key not in payload:
                 raise ValueError(f"policy JSON is missing key {key!r}")
             try:
-                fields[key] = convert(payload[key])
+                values[key] = convert(payload[key])
             except (OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"policy JSON key {key!r}: {exc}") from None
-        return cls(**fields)
+        return cls(**values)
 
 
 def constant_policy(
@@ -295,25 +285,12 @@ def _split_candidates(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([-np.inf], mids, [np.inf]))
 
 
-class _Stump:
-    """Best depth-1 split over a unit subset: objective plus reconstruction info."""
-
-    __slots__ = ("objective", "feature", "threshold", "left_action", "right_action")
-
-    def __init__(self, objective, feature, threshold, left_sum, total):
-        self.objective = objective
-        self.feature = feature
-        self.threshold = threshold
-        self.left_action = 1 if left_sum > 0 else 0
-        self.right_action = 1 if total - left_sum > 0 else 0
-
-
-def _best_stump(per_feature: list, mask: np.ndarray | None) -> _Stump:
+def _best_stump(per_feature: list, mask: np.ndarray | None) -> tuple:
     """Exact depth-1 solve over the masked units, scanning candidates in order.
 
     per_feature rows are (feature, sort order, sorted values, gamma in sorted
-    order, candidate thresholds). The first maximizer in (feature, threshold)
-    order wins; leaf actions are 1 iff the leaf gamma sum is positive.
+    order, candidate thresholds). Returns (objective, feature, threshold,
+    (left sum, right sum)) of the first maximizer in (feature, threshold) order.
     """
     best = None
     for feature, order, xs, g_ord, cands in per_feature:
@@ -326,9 +303,21 @@ def _best_stump(per_feature: list, mask: np.ndarray | None) -> _Stump:
         total = prefix[-1]
         objective = np.abs(left) + np.abs(total - left)
         j = int(np.argmax(objective))
-        if best is None or objective[j] > best.objective:
-            best = _Stump(float(objective[j]), feature, float(cands[j]), left[j], total)
+        if best is None or objective[j] > best[0]:
+            best = (float(objective[j]), feature, float(cands[j]), (left[j], total - left[j]))
     return best
+
+
+def _tree(eligible: tuple[int, ...], splits: list, leaf_sums: tuple) -> TreePolicy:
+    """The tree of (feature, threshold) splits in heap order; a leaf treats iff its sum > 0."""
+    features, thresholds = zip(*splits)
+    return TreePolicy(
+        depth=len(splits).bit_length(),
+        features=np.array(features),
+        thresholds=np.array(thresholds),
+        leaf_actions=np.array([1 if total > 0 else 0 for total in leaf_sums]),
+        eligible_features=eligible,
+    )
 
 
 def _stump_objective(total: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -449,14 +438,8 @@ def search_tree(
         per_feature.append((feature, order, xs, gamma[order], _split_candidates(xs)))
 
     if depth == 1:
-        stump = _best_stump(per_feature, mask=None)
-        return TreePolicy(
-            depth=1,
-            features=np.array([stump.feature]),
-            thresholds=np.array([stump.threshold]),
-            leaf_actions=np.array([stump.left_action, stump.right_action]),
-            eligible_features=eligible,
-        )
+        _, feature, threshold, leaf_sums = _best_stump(per_feature, mask=None)
+        return _tree(eligible, [(feature, threshold)], leaf_sums)
 
     # Prefix sums add gamma in another order than _best_stump, so every root
     # scoring within tol of the best (far above that rounding, about
@@ -477,7 +460,7 @@ def search_tree(
         mask = x[:, feature] <= threshold
         left = _best_stump(per_feature, mask)
         right = _best_stump(per_feature, ~mask)
-        objective = left.objective + right.objective
+        objective = left[0] + right[0]
         if objective > best_objective:
             best_objective = objective
             best = (feature, threshold, left, right)
@@ -486,15 +469,7 @@ def search_tree(
             break
 
     feature, threshold, left, right = best
-    return TreePolicy(
-        depth=2,
-        features=np.array([feature, left.feature, right.feature]),
-        thresholds=np.array([threshold, left.threshold, right.threshold]),
-        leaf_actions=np.array(
-            [left.left_action, left.right_action, right.left_action, right.right_action]
-        ),
-        eligible_features=eligible,
-    )
+    return _tree(eligible, [(feature, threshold), left[1:3], right[1:3]], left[3] + right[3])
 
 
 @dataclass(frozen=True)
@@ -530,9 +505,9 @@ class PolicyLearningError(RuntimeError):
         self.stage = stage
 
 
-def _run_stage(stage, fn):
+def _run_stage(stage, fn, *args, **kwargs):
     try:
-        return fn()
+        return fn(*args, **kwargs)
     except Exception as exc:
         raise PolicyLearningError(stage, exc) from exc
 
@@ -541,18 +516,17 @@ def impute_scores(
     data: ObservationalDataset, config: LearnConfig
 ) -> ImputedPotentialOutcomes:
     """Imputation stages of the pipeline: metric, matching, optional correction."""
-    metric = _run_stage("metric", lambda: fit_mahalanobis(data.x))
-    matches = _run_stage("matching", lambda: match_units(data, metric, config.m))
+    metric = _run_stage("metric", fit_mahalanobis, data.x)
+    matches = _run_stage("matching", match_units, data, metric, config.m)
     if config.correction == "none":
-        return _run_stage("imputation", lambda: impute_raw(data, matches))
+        return _run_stage("imputation", impute_raw, data, matches)
     if config.correction == "ols":
-        model = _run_stage("outcome_model", lambda: fit_ols_per_arm(data, "linear"))
+        model = _run_stage("outcome_model", fit_ols_per_arm, data, "linear")
     else:
         model = _run_stage(
-            "outcome_model",
-            lambda: fit_lasso_per_arm(data, folds=config.lasso_folds, seed=config.seed),
+            "outcome_model", fit_lasso_per_arm, data, folds=config.lasso_folds, seed=config.seed
         )
-    return _run_stage("imputation", lambda: impute_bias_corrected(data, matches, model))
+    return _run_stage("imputation", impute_bias_corrected, data, matches, model)
 
 
 def learn_policy(
@@ -569,7 +543,6 @@ def learn_policy(
     if imputed is None:
         imputed = impute_scores(data, config)
     tree = _run_stage(
-        "search",
-        lambda: search_tree(data.x, imputed.gamma, config.depth, data.eligible_features),
+        "search", search_tree, data.x, imputed.gamma, config.depth, data.eligible_features
     )
     return replace(tree, feature_names=data.feature_names)

@@ -290,6 +290,72 @@ class TestEvaluate:
         assert "cv_failures.csv" in (out / "outputs.sha256").read_text()
 
 
+def reject_constant(name):
+    raise ValueError(f"not standard JSON: {name}")
+
+
+class TestStandardJson:
+    """evaluation.json holds null, never a bare NaN, where a CV mean or sd is undefined."""
+
+    def test_one_repeat_has_a_null_sd(self, eval_csv, tmp_path):
+        out = tmp_path / "cv"
+        assert main(["evaluate", "--data", str(eval_csv), "--cv", "--method", "mb-m1",
+                     "--repeats", "1", "--out", str(out)]) == 0
+        payload = json.loads((out / "evaluation.json").read_text(), parse_constant=reject_constant)
+        assert np.isfinite(payload["cv_mean"]) and payload["cv_std"] is None
+
+    def test_all_failed_repeats_have_a_null_mean_and_sd(self, eval_csv, tmp_path):
+        # four treated units: every training fold has fewer than mb-m5's five matches
+        header, *rows = eval_csv.read_text().splitlines()
+        rows = [("0" + row[1:]) if k >= 8 else row for k, row in enumerate(rows)]
+        eval_csv.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "cv"
+        assert main(["evaluate", "--data", str(eval_csv), "--cv", "--method", "mb-m5",
+                     "--repeats", "1", "--out", str(out)]) == 1
+        payload = json.loads((out / "evaluation.json").read_text(), parse_constant=reject_constant)
+        assert payload["cv_mean"] is None and payload["cv_std"] is None
+        assert payload["failed_repeats"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--cv", "--method", "mb-m1", "--repeats", "1", "--seed", "8"],
+    ["evaluate"],
+    ["balance"],
+], ids=["evaluate-cv", "evaluate", "balance"])
+def test_manifest_records_exclusions(eval_csv, tmp_path, command):
+    parameters = {}
+    for exclude in ([], ["--exclude", "a"]):
+        out = tmp_path / f"run{len(exclude)}"
+        assert main([*command, "--data", str(eval_csv), *exclude, "--out", str(out)]) == 0
+        parameters[len(exclude)] = json.loads((out / "manifest.json").read_text())["parameters"]
+    plain, excluded = parameters[0], parameters[2]
+    assert plain.pop("excluded_from_policy") == []
+    assert excluded.pop("excluded_from_policy") == ["a"]
+    assert plain == excluded
+
+
+# README's output table: the files outputs.sha256 covers, and the other files
+@pytest.mark.parametrize("command,covered,others", [
+    (["simulate"], ["results.csv", "summary.csv"], ["timings.csv"]),
+    (["learn", "--correction", "none", "--m", "1"], ["policy.txt", "policy.json", "gamma.csv"], []),
+    (["evaluate"], ["evaluation.json"], []),
+    (["evaluate", "--cv", "--method", "mb-m1", "--repeats", "1"],
+     ["evaluation.json", "cv_values.csv", "cv_failures.csv"], []),
+    (["balance"], ["balance.csv"], []),
+], ids=["simulate", "learn", "evaluate", "evaluate-cv", "balance"])
+def test_output_files_match_the_readme_table(eval_csv, tmp_path, command, covered, others):
+    out = tmp_path / "out"
+    if command == ["simulate"]:
+        args = simulate_args(out)
+    else:
+        args = [*command, "--data", str(eval_csv), "--out", str(out)]
+    assert main(args) == 0
+    lines = (out / "outputs.sha256").read_text().splitlines()
+    assert [line.split("  ")[1] for line in lines] == covered
+    written = sorted(path.name for path in out.iterdir())
+    assert written == sorted(["manifest.json", "outputs.sha256", *covered, *others])
+
+
 @pytest.mark.parametrize("command", [["learn"], ["evaluate", "--cv", "--method", "mb-m1"]])
 def test_negative_seed_is_a_usage_error(eval_csv, tmp_path, capsys, command):
     out = tmp_path / "out"

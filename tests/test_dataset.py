@@ -80,6 +80,15 @@ class TestLoadCsv:
         ):
             load_csv(path, SCHEMA)
 
+    def test_empty_covariates_mean_every_other_column(self, tmp_path):
+        path = write_csv(tmp_path, "b,treat,x,re78,a\n10,1,7,5.0,0\n11,0,8,4.0,1\n")
+        data = load_csv(path, CsvSchema("treat", "re78", ()))
+        assert data.feature_names == ("b", "x", "a")
+        np.testing.assert_array_equal(data.x, [[10, 7, 0], [11, 8, 1]])
+        bare = write_csv(tmp_path, "treat,re78\n1,5.0\n0,4.0\n", name="bare.csv")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bare))}: no covariate column"):
+            load_csv(bare, CsvSchema("treat", "re78", ()))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", SCHEMA)

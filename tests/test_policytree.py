@@ -184,6 +184,27 @@ class TestTreePolicyType:
         )
         assert TreePolicy.from_json(tree.to_json()) == tree
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"depth": 2, "features": [0, 1, 0], "thresholds": [1.5, 0.0, 0.0],
+             "leaf_actions": [1, 0, 0, 1]},
+            {"features": [1]},
+            {"thresholds": [2.5]},
+            {"leaf_actions": [0, 1]},
+            {"eligible_features": (0,)},
+            {"feature_names": ("a\x00", "b")},  # np.array_equal calls the names equal
+            {"feature_names": None},
+        ],
+        ids=["depth", "features", "thresholds", "leaf_actions", "eligible_features",
+             "nul-suffixed-name", "no-names"],
+    )
+    def test_trees_differing_in_one_field_are_unequal(self, changes):
+        tree = dataclasses.replace(stump(0, 1.5, 1, 0), feature_names=("a", "b"))
+        other = dataclasses.replace(tree, **changes)
+        assert tree != other and other != tree
+        assert tree == dataclasses.replace(tree)
+
     def test_threshold_precision_survives_text(self):
         value = 0.1 + 0.2  # not representable as a short decimal
         tree = stump(0, value, 0, 1)
