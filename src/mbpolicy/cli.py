@@ -300,16 +300,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         report.to_csv(out / "cv_values.csv")
         write_csv(out / "cv_failures.csv", ("failure",), ((f,) for f in report.failures))
+        mean, std = (v if math.isfinite(v) else None for v in (report.mean, report.std))
         _write_json(out / "evaluation.json", {
-            "cv_mean": report.mean if math.isfinite(report.mean) else None,
-            "cv_std": report.std if math.isfinite(report.std) else None,
+            "cv_mean": mean,
+            "cv_std": std,
             "folds": report.folds,
             "repeats": report.repeats,
             "failed_repeats": report.n_failed_repeats,
             "method": args.method,
         })
         _write_checksums(out, ["evaluation.json", "cv_values.csv", "cv_failures.csv"])
-        print(f"cross-validated value: mean {report.mean:.1f} (sd {report.std:.1f})")
+        mean, std = ("undefined" if v is None else f"{v:.1f}" for v in (mean, std))
+        print(f"cross-validated value: mean {mean} (sd {std})")
         if report.n_failed_repeats:
             print(
                 f"{report.n_failed_repeats} repeats failed; reasons in {out / 'cv_failures.csv'}",

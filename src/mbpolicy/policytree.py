@@ -9,13 +9,23 @@ thresholds come from the per-feature candidate set (midpoints of consecutive
 sorted distinct values plus -inf/+inf sentinels). It is exact. Depth 1 is one
 prefix-sum scan of gamma per feature over a presorted order. At depth 2 the
 best child stump on either side of every root split is read off 2-D prefix
-sums of gamma over pairs of thresholds, one table per unordered feature pair
-(its rows score the roots on one feature, its columns the roots on the
-other), built in blocks of rows under a fixed byte budget (a block of the
-table and one reused buffer of the same size are live at once), in
-O(p^2 n^2) time. The roots that score within a rounding tolerance of the
-best (zero for integer gamma, whose sums are exact) are then re-scored by
-the depth-1 scan on each side, so the result is the same floating-point
+sums of gamma over pairs of thresholds, S[t, r] for the roots on one feature
+(W_f candidates) and the child splits on another (W_g). The route is chosen
+per unordered feature pair by the size of its table:
+- W_f * W_g <= 100 n: one dense table per pair scores the roots on both
+  features, built in blocks of rows, in O(W_f W_g) time;
+- larger: each feature in turn is the root, and the other's candidates are
+  cut into about sqrt(W_g) column chunks, in O(n sqrt(W_g) + W_f sqrt(W_g))
+  time, O(n sqrt(n)) for continuous features, without building S.
+Measured per pair, the dense table is the faster route below about 60 cells
+per unit, either can win from 60 to 100, and the chunked route won every
+pair from 100 up (1.7 to 3.1 times at 100 to 200 cells per unit, 5.9 times
+at n = 2000 with continuous features). Memory: blocks of at most
+_BLOCK_BYTES, at most three live at once, plus, on the chunked route, a
+(n + chunks) x width table of about 8 n sqrt(W_g) bytes (5.8 MB at
+n = 8000), plus O(pn). The roots that score within a rounding tolerance of
+the best (zero for integer gamma, whose sums are exact) are then re-scored
+by the depth-1 scan on each side, so the result is the same floating-point
 optimum, bit for bit, as solving both depth-1 subproblems of every root.
 Ties are broken by a fixed scan order (feature ascending, threshold
 ascending, left subtree before right), and a leaf takes action 1 iff its
@@ -28,6 +38,7 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -51,7 +62,13 @@ __all__ = [
 
 MAX_DEPTH = 2
 CORRECTIONS = ("none", "ols", "lasso")
-_BLOCK_BYTES = 1 << 20  # one block of depth-2 prefix-sum rows; its c_f - S buffer too
+# Bounds each block of a depth-2 table: dense rows of S and their c_f - S
+# buffer; on the chunked route, columns of the chunk tables and rows of P, J.
+# No score depends on it.
+_BLOCK_BYTES = 1 << 20
+# A feature pair whose table has more cells per unit than this is chunked:
+# the measured crossover lies between 60 and 100 (see the module docstring).
+_CHUNKED_CELLS_PER_UNIT = 100
 # Characters str.splitlines breaks on, escaped in split labels so each split
 # stays on one line of to_text; the names: line keeps the exact names.
 _LINE_BREAKS = str.maketrans(
@@ -333,6 +350,141 @@ def _best_children(sums: np.ndarray) -> np.ndarray:
     return _stump_objective(sums[:, -1], sums.max(axis=1), sums.min(axis=1))
 
 
+def _dense_children(a_f, order, c_f, a_g, c_g, gamma) -> tuple:
+    """Best child objectives on g for the roots on f and on g, from the whole table S.
+
+    S[t, r] sums gamma over a_f <= t and a_g <= r. For roots on f, the left
+    child's sums on g are the row S[t, :] and the right child's c_g - S[t, :].
+    For roots on g, the left child's sums on f are the column S[:, r] and the
+    right child's c_f - S[:, r], whose extremes are carried across blocks. S is
+    built a block of rows at a time under _BLOCK_BYTES, carrying its last row
+    forward; c_f - S goes into one reused buffer of the same size. Returns
+    (left on f, right on f, left on g, right on g).
+    """
+    a_sorted = a_f[order]  # nondecreasing, so each block's units are one slice
+    width = len(c_g)
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    buffer = np.empty((min(rows, len(c_f)), width))  # for c_f - S
+    carry = np.zeros(width)
+    col_high, col_low = np.full(width, -np.inf), np.full(width, np.inf)
+    rest_high, rest_low = np.full(width, -np.inf), np.full(width, np.inf)
+    left_f, right_f = np.empty(len(c_f)), np.empty(len(c_f))
+    for t0 in range(0, len(c_f), rows):
+        t1 = min(t0 + rows, len(c_f))
+        lo, hi = np.searchsorted(a_sorted, (t0, t1))
+        units = order[lo:hi]
+        sums = np.bincount(
+            (a_f[units] - t0) * width + a_g[units],
+            weights=gamma[units],
+            minlength=(t1 - t0) * width,
+        )  # integer zeros when the block holds no unit
+        sums = sums.astype(float, copy=False).reshape(t1 - t0, width)
+        np.cumsum(sums, axis=1, out=sums)
+        sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry = sums[-1].copy()
+        left_f[t0:t1] = _best_children(sums)
+        np.maximum(col_high, sums.max(axis=0), out=col_high)
+        np.minimum(col_low, sums.min(axis=0), out=col_low)
+        rest = np.subtract(c_f[t0:t1, None], sums, out=buffer[: t1 - t0])
+        np.maximum(rest_high, rest.max(axis=0), out=rest_high)
+        np.minimum(rest_low, rest.min(axis=0), out=rest_low)
+        np.subtract(c_g, sums, out=sums)
+        right_f[t0:t1] = _best_children(sums)
+    # carry is now S's last row, the gamma sums over a_g <= r
+    left_g = _stump_objective(carry, col_high, col_low)
+    right_g = _stump_objective(c_f[-1] - carry, rest_high, rest_low)
+    return left_f, right_f, left_g, right_g
+
+
+def _chunk_tables(order, a_g, c_g, gamma) -> tuple:
+    """The per-row extremes of the chunk tables Q_k of _chunked_children.
+
+    All the Q_k form one (width, n + chunks) table, a zero column for each
+    chunk followed by a column for each of its units in a_f order (order
+    sorts a_f), summed through every chunk and then less the chunk's zero
+    column. Its columns go a block at a time under _BLOCK_BYTES. Returns
+    (each unit's chunk, each chunk's zero column, extremes), the extremes
+    being each column's last entry, max and min of Q_k and max and min of
+    c_g - Q_k.
+    """
+    n, n_cols = len(gamma), len(c_g)
+    width = isqrt(n_cols - 1) + 1
+    n_chunks = -(-n_cols // width)
+    chunk, column = np.divmod(a_g, width)
+    sizes = np.bincount(chunk, minlength=n_chunks)
+    zero_rows = np.concatenate(([0], np.cumsum(sizes[:-1] + 1)))
+    units = order[np.argsort(chunk[order], kind="stable")]  # by chunk, then a_f
+    q = np.zeros((width, n + n_chunks))
+    q[column[units], np.arange(1, n + 1) + chunk[units]] = gamma[units]
+    for r in range(1, width):
+        q[r] += q[r - 1]
+    np.cumsum(q, axis=1, out=q)
+    base = q[:, zero_rows]
+    c_pad = np.full(n_chunks * width, c_g[-1])  # columns past W_g repeat the last
+    c_pad[:n_cols] = c_g
+    c_pad = c_pad.reshape(n_chunks, width).T
+    column_chunk = np.repeat(np.arange(n_chunks), sizes + 1)
+    extremes = np.empty((5, n + n_chunks))
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    for i0 in range(0, n + n_chunks, step):
+        part, k = q[:, i0 : i0 + step], column_chunk[i0 : i0 + step]
+        np.subtract(part, base[:, k], out=part)
+        extremes[:3, i0 : i0 + step] = part[-1], part.max(axis=0), part.min(axis=0)
+        np.subtract(c_pad[:, k], part, out=part)
+        extremes[3:, i0 : i0 + step] = part.max(axis=0), part.min(axis=0)
+    return chunk, zero_rows, extremes
+
+
+def _chunked_children(a_f, order, c_f, a_g, c_g, gamma) -> tuple:
+    """Best child objectives on g for the roots on f, without building S.
+
+    g's candidates are cut into chunks of about sqrt(W_g) columns. On chunk
+    k, S[t, r] = P[t, k] + Q_k[J[t, k], r]: J counts chunk k's units with
+    a_f <= t, Q_k[j, r] sums gamma over chunk k's first j units in a_f order
+    with a_g <= r, and P[t, k] sums gamma over a_f <= t in earlier chunks,
+    the sum over k' < k of Q_k'[J[t, k'], last column]. Only the extremes
+    over r of Q_k and of c_g - Q_k are kept (_chunk_tables), so each root
+    row's extremes over r are max_k (P + max_r Q_k[J]) and so on, in
+    O(n sqrt(W_g) + W_f sqrt(W_g)) time. J and P go a block of root rows at
+    a time under _BLOCK_BYTES; only the integer J carries across blocks, so
+    no score depends on them. Sums of integer gamma are exact. Returns
+    (left on f, right on f).
+    """
+    chunk, zero_rows, (q_last, q_high, q_low, rest_high, rest_low) = _chunk_tables(
+        order, a_g, c_g, gamma
+    )
+    n_chunks = len(zero_rows)
+    a_sorted = a_f[order]
+    rows = max(1, _BLOCK_BYTES // (8 * n_chunks))
+    row_carry = zero_rows
+    left, right = np.empty(len(c_f)), np.empty(len(c_f))
+    for t0 in range(0, len(c_f), rows):
+        t1 = min(t0 + rows, len(c_f))
+        lo, hi = np.searchsorted(a_sorted, (t0, t1))
+        block = order[lo:hi]
+        at = np.bincount(
+            chunk[block] * (t1 - t0) + a_f[block] - t0, minlength=n_chunks * (t1 - t0)
+        ).reshape(n_chunks, t1 - t0)
+        at[:, 0] += row_carry
+        np.cumsum(at, axis=1, out=at)  # at[k, t]: the column of Q_k that root row t reads
+        row_carry = at[:, -1].copy()
+        before = np.take(q_last, at)
+        for k in range(1, n_chunks - 1):
+            np.add(before[k - 1], before[k], out=before[k])
+        before = before[:-1]  # before[k - 1] is P[:, k]
+        values = np.take(q_high, at)
+        values[1:] += before
+        high = values.max(axis=0)
+        np.take(q_low, at, out=values)[1:] += before
+        left[t0:t1] = _stump_objective(c_f[t0:t1], high, values.min(axis=0))
+        np.take(rest_high, at, out=values)[1:] -= before
+        high = values.max(axis=0)
+        np.take(rest_low, at, out=values)[1:] -= before
+        right[t0:t1] = _stump_objective(c_f[-1] - c_f[t0:t1], high, values.min(axis=0))
+    return left, right
+
+
 def _root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndarray:
     """Depth-2 objective of every root split, features then thresholds ascending.
 
@@ -341,13 +493,12 @@ def _root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndar
     sums gamma over a_f <= t. A child split on the root's own feature needs
     only c_f: its left sums are c_f[min(t, r)] and its right sums
     c_f[r] - c_f[min(t, r)], so prefix and suffix extremes of c_f score it.
-    Each unordered feature pair f < g shares one table S[t, r], the gamma sum
-    over a_f <= t and a_g <= r. For roots on f, the left child's sums on g
-    are the row S[t, :] and the right child's c_g - S[t, :]. For roots on g,
-    the left child's sums on f are the column S[:, r] and the right child's
-    c_f - S[:, r], whose extremes are carried across blocks. S is built a
-    block of rows at a time under _BLOCK_BYTES, carrying its last row forward;
-    c_f - S goes into one reused buffer of the same size.
+    A child on another feature g reads the extremes of the rows (roots on f)
+    or columns (roots on g) of S[t, r], the gamma sum over a_f <= t and
+    a_g <= r, and of their complements. A pair whose table has at most
+    _CHUNKED_CELLS_PER_UNIT cells per unit builds it whole (_dense_children);
+    a larger one is scored in column chunks, once with each feature as the
+    root (_chunked_children).
     """
     positions, col_sums = [], []
     for feature, _, _, _, cands in per_feature:
@@ -360,42 +511,20 @@ def _root_scores(x: np.ndarray, gamma: np.ndarray, per_feature: list) -> np.ndar
         high = np.maximum.accumulate(c[::-1])[::-1] - c
         low = np.minimum.accumulate(c[::-1])[::-1] - c
         right_best.append(_stump_objective(c[-1] - c, high, low))
+
+    def pair_inputs(f, g):
+        return positions[f], per_feature[f][1], col_sums[f], positions[g], col_sums[g], gamma
+
     for f, g in combinations(range(len(per_feature)), 2):
-        order = per_feature[f][1]
-        a_f, a_g, c_f, c_g = positions[f], positions[g], col_sums[f], col_sums[g]
-        a_sorted = a_f[order]  # nondecreasing, so each block's units are one slice
-        width = len(c_g)
-        rows = max(1, _BLOCK_BYTES // (8 * width))
-        buffer = np.empty((min(rows, len(c_f)), width))  # for c_f - S
-        carry = np.zeros(width)
-        col_high, col_low = np.full(width, -np.inf), np.full(width, np.inf)
-        rest_high, rest_low = np.full(width, -np.inf), np.full(width, np.inf)
-        for t0 in range(0, len(c_f), rows):
-            t1 = min(t0 + rows, len(c_f))
-            lo, hi = np.searchsorted(a_sorted, (t0, t1))
-            units = order[lo:hi]
-            sums = np.bincount(
-                (a_f[units] - t0) * width + a_g[units],
-                weights=gamma[units],
-                minlength=(t1 - t0) * width,
-            )  # integer zeros when the block holds no unit
-            sums = sums.astype(float, copy=False).reshape(t1 - t0, width)
-            np.cumsum(sums, axis=1, out=sums)
-            sums[0] += carry
-            np.cumsum(sums, axis=0, out=sums)
-            carry = sums[-1].copy()
-            np.maximum(left_best[f][t0:t1], _best_children(sums), out=left_best[f][t0:t1])
-            np.maximum(col_high, sums.max(axis=0), out=col_high)
-            np.minimum(col_low, sums.min(axis=0), out=col_low)
-            rest = np.subtract(c_f[t0:t1, None], sums, out=buffer[: t1 - t0])
-            np.maximum(rest_high, rest.max(axis=0), out=rest_high)
-            np.minimum(rest_low, rest.min(axis=0), out=rest_low)
-            np.subtract(c_g, sums, out=sums)
-            np.maximum(right_best[f][t0:t1], _best_children(sums), out=right_best[f][t0:t1])
-        # carry is now S's last row, the gamma sums over a_g <= r
-        np.maximum(left_best[g], _stump_objective(carry, col_high, col_low), out=left_best[g])
-        right_g = _stump_objective(c_f[-1] - carry, rest_high, rest_low)
-        np.maximum(right_best[g], right_g, out=right_best[g])
+        if len(col_sums[f]) * len(col_sums[g]) > _CHUNKED_CELLS_PER_UNIT * len(gamma):
+            children = [(f, *_chunked_children(*pair_inputs(f, g))),
+                        (g, *_chunked_children(*pair_inputs(g, f)))]
+        else:
+            left_f, right_f, left_g, right_g = _dense_children(*pair_inputs(f, g))
+            children = [(f, left_f, right_f), (g, left_g, right_g)]
+        for root, left, right in children:
+            np.maximum(left_best[root], left, out=left_best[root])
+            np.maximum(right_best[root], right, out=right_best[root])
     return np.concatenate(left_best) + np.concatenate(right_best)
 
 

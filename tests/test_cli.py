@@ -317,6 +317,27 @@ class TestStandardJson:
         assert payload["failed_repeats"] == 1
 
 
+class TestUndefinedOnStdout:
+    """The printed CV mean and sd say undefined where evaluation.json writes null."""
+
+    def test_one_repeat_prints_an_undefined_sd(self, eval_csv, tmp_path, capsys):
+        assert main(["evaluate", "--data", str(eval_csv), "--cv", "--method", "mb-m1",
+                     "--repeats", "1", "--out", str(tmp_path / "cv")]) == 0
+        out = capsys.readouterr().out
+        assert "(sd undefined)" in out and "nan" not in out.lower()
+        assert "mean undefined" not in out
+
+    def test_all_failed_repeats_print_an_undefined_mean(self, eval_csv, tmp_path, capsys):
+        # four treated units: every training fold has fewer than mb-m5's five matches
+        header, *rows = eval_csv.read_text().splitlines()
+        rows = [("0" + row[1:]) if k >= 8 else row for k, row in enumerate(rows)]
+        eval_csv.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["evaluate", "--data", str(eval_csv), "--cv", "--method", "mb-m5",
+                     "--repeats", "1", "--out", str(tmp_path / "cv")]) == 1
+        out = capsys.readouterr().out
+        assert "mean undefined (sd undefined)" in out and "nan" not in out.lower()
+
+
 @pytest.mark.parametrize("command", [
     ["evaluate", "--cv", "--method", "mb-m1", "--repeats", "1", "--seed", "8"],
     ["evaluate"],

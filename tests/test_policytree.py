@@ -584,6 +584,104 @@ class TestDepthTwoPrefixSums:
         assert tree == masked_root_search(x, gamma)
 
 
+def chunked_problems(n, seed):
+    """(x, per_feature rows) whose feature pairs all take the chunked route.
+
+    Three continuous columns, then a zero-inflated, tied column shaped like
+    the study's 1974 earnings (about 60% zeros, the rest in cents).
+    """
+    rng = np.random.default_rng(seed)
+    earnings = np.round(rng.lognormal(8.0, 1.0, size=n), 2)
+    child = np.where(rng.random(n) < 0.6, 0.0, earnings)
+    x = np.column_stack([rng.normal(size=(n, 3)), child])
+    return x, per_feature_rows(x)
+
+
+@pytest.fixture
+def chunked_pairs(monkeypatch):
+    """Records the (W_f, W_g) of every ordered pair scored by the chunked route."""
+    calls = []
+    chunked = policytree._chunked_children
+
+    def spy(a_f, order, c_f, a_g, c_g, gamma):
+        calls.append((len(c_f), len(c_g)))
+        return chunked(a_f, order, c_f, a_g, c_g, gamma)
+
+    monkeypatch.setattr(policytree, "_chunked_children", spy)
+    return calls
+
+
+def every_ordered_pair(per_feature):
+    widths = [len(cands) for *_, cands in per_feature]
+    return sorted((w_f, w_g) for f, w_f in enumerate(widths) for g, w_g in enumerate(widths) if f != g)
+
+
+class TestChunkedDepthTwoScores:
+    """Pairs with more than _CHUNKED_CELLS_PER_UNIT table cells per unit are scored in chunks."""
+
+    def test_scores_within_tolerance_of_the_ordered_pair_tables(self, chunked_pairs):
+        x, per_feature = chunked_problems(600, 80)
+        rng = np.random.default_rng(81)
+        for gamma in (
+            rng.normal(size=600),
+            1e4 * rng.normal(size=600),
+            rng.choice([0.1, 0.2, 0.3], size=600) * rng.choice([-1.0, 1.0], size=600),
+        ):
+            chunked_pairs.clear()
+            scores = policytree._root_scores(x, gamma, per_feature)
+            assert sorted(chunked_pairs) == every_ordered_pair(per_feature)
+            reference = ordered_pair_root_scores(x, gamma, per_feature)
+            assert scores.shape == reference.shape
+            assert np.max(np.abs(scores - reference)) <= 1e-9 * np.sum(np.abs(gamma))
+
+    def test_integer_scores_equal_the_ordered_pair_tables(self, chunked_pairs):
+        # the search re-scores only exact ties for integer gamma (tolerance 0)
+        x, per_feature = chunked_problems(600, 82)
+        rng = np.random.default_rng(83)
+        for gamma in (rng.integers(-9, 10, size=600), np.ones(600), rng.integers(0, 2, size=600)):
+            gamma = gamma.astype(float)
+            chunked_pairs.clear()
+            scores = policytree._root_scores(x, gamma, per_feature)
+            assert sorted(chunked_pairs) == every_ordered_pair(per_feature)
+            assert np.array_equal(scores, ordered_pair_root_scores(x, gamma, per_feature))
+
+    def test_one_byte_blocks_give_the_same_bytes(self, chunked_pairs, monkeypatch):
+        x, per_feature = chunked_problems(600, 84)
+        gamma = np.random.default_rng(85).normal(size=600)
+        whole = policytree._root_scores(x, gamma, per_feature)
+        monkeypatch.setattr(policytree, "_BLOCK_BYTES", 1)
+        assert policytree._root_scores(x, gamma, per_feature).tobytes() == whole.tobytes()
+        assert sorted(chunked_pairs) == sorted(2 * every_ordered_pair(per_feature))
+
+    def test_search_equals_the_masked_root_search(self, chunked_pairs):
+        rng = np.random.default_rng(86)
+        x, _ = chunked_problems(300, 87)
+        problems = [
+            (x[:, :3], rng.normal(size=300)),
+            # near-ties that depend on the order of the additions
+            (x[:, [0, 3]], rng.choice([0.1, 0.2, 0.3], size=300) * rng.choice([-1.0, 1.0], size=300)),
+        ]
+        for x, gamma in problems:
+            chunked_pairs.clear()
+            tree = search_tree(x, gamma, 2)
+            assert sorted(chunked_pairs) == every_ordered_pair(per_feature_rows(x))
+            assert tree == masked_root_search(x, gamma)
+
+    def test_memory_stays_bounded_at_n_8000(self, chunked_pairs):
+        # the dense route would build 6 tables of 8001 x 8001 cells (512 MB each)
+        rng = np.random.default_rng(88)
+        x = rng.normal(size=(8000, 4))
+        gamma = rng.normal(size=8000)
+        tracemalloc.start()
+        try:
+            search_tree(x, gamma, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chunked_pairs) == 12
+        assert peak < 16 * 2**20
+
+
 class TestLearnPolicy:
     def test_hand_example_composes(self):
         data = ObservationalDataset(
