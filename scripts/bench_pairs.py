@@ -19,9 +19,11 @@ It runs, in this order:
 - per stage: `match_units` (m=5), depth-2 `search_tree` on raw m=5
   matching gamma and `fit_lasso_per_arm` with its defaults, on
   `generate(SimulationSpec(1, "linear", "tree", n, seed=1010))` for n in
-  200, 500, 1000, 2000; one process per run, alternating sides, each timing
-  one warm-up and three calls per stage and n and keeping their median; the
-  digests of the outputs (matched sets and distances, tree, lasso
+  200, 500, 1000, 2000, and `match_units` (m=5) on a study-shaped fold: the
+  356 rows (every row but each fifth) of bench/nsw_shaped.py's seed-0 file
+  with all eight covariates; one process per run, alternating sides, each
+  timing one warm-up and three calls per stage and n and keeping their
+  median; the digests of the outputs (matched sets and distances, tree, lasso
   coefficients and penalties) must agree between sides;
 - `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
@@ -51,11 +53,14 @@ STAGE_RUNS = 5
 STAGES = ("match", "search", "lasso")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
-# Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "digest": {n: sha}}.
+# Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "match_study": s,
+# "digest": {n: sha, "study": sha}}.
 STAGE_CODE = """
 import hashlib, json, statistics, sys, time
+import numpy as np
 from mbpolicy import (
-    LearnConfig, fit_lasso_per_arm, fit_mahalanobis, impute_scores, match_units, search_tree,
+    LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis, impute_scores,
+    match_units, search_tree,
 )
 from mbpolicy.simulation import SimulationSpec, generate
 
@@ -81,6 +86,19 @@ for n in map(int, sys.argv[1:]):
     digest.update(model.coef0.tobytes() + model.coef1.tobytes())
     digest.update(repr((model.lambda0, model.lambda1)).encode())
     out["digest"][n] = digest.hexdigest()
+
+sys.path.insert(0, "bench")
+import nsw_shaped
+rows = nsw_shaped.generate_rows(0)
+rows = rows[np.arange(len(rows)) % 5 != 0]
+fold = ObservationalDataset(
+    x=rows[:, 1:9], w=rows[:, 0].astype(np.int64), y=rows[:, 9],
+    feature_names=nsw_shaped.HEADER[1:9],
+)
+metric = fit_mahalanobis(fold.x)
+out["match_study"], matches = timed(lambda: match_units(fold, metric, 5))
+digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
+out["digest"]["study"] = digest.hexdigest()
 print(json.dumps(out))
 """
 
@@ -187,6 +205,15 @@ def stages(sides: dict) -> dict:
         digests = {sample["digest"][n] for side in sides for sample in samples[side]}
         entry["same_outputs"] = len(digests) == 1
         out["by_n"][n] = entry
+    study = {"fixture": "match_units(fold, fit_mahalanobis(fold.x), 5) on the 356 rows of "
+             "bench/nsw_shaped.py's seed-0 file whose index is not a multiple of 5, "
+             "eight covariates"}
+    for side in sides:
+        times = [sample["match_study"] for sample in samples[side]]
+        study[f"{side}_median_s"] = statistics.median(times)
+        study[f"{side}_runs_s"] = times
+    study["same_outputs"] = len({s["digest"]["study"] for side in sides for s in samples[side]}) == 1
+    out["study_match"] = study
     return out
 
 

@@ -2,10 +2,13 @@
 
 Each unit is matched to the M nearest opposite-arm units under a supplied
 metric (exact brute-force scan, ties broken by smallest unit index, the
-m nearest found by partial selection rather than a sort of every row). The
-matched sets drive two imputations of the missing potential outcome: the raw
-matched-outcome mean and a regression-adjusted (bias-corrected) one. Both keep
-each unit's observed outcome and differ only in the counterfactual they fill in.
+m nearest found by partial selection rather than a sort of every row). Each
+treated-control distance is formed once, in n1 * n0 * p work, and serves
+both units; blocks of treated rows and a running best set per control bound
+the memory. The matched sets drive two imputations of the missing potential
+outcome: the raw matched-outcome mean and a regression-adjusted
+(bias-corrected) one. Both keep each unit's observed outcome and differ only
+in the counterfactual they fill in.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ class MatchResult:
         n = sets.shape[0]
         if np.any((sets < 0) | (sets >= n)):
             raise ValueError(f"matched_sets must hold unit indices in 0..{n - 1}")
+        if not np.all(dists >= 0.0):
+            raise ValueError("distances must be non-negative (no NaN)")
         _freeze(
             self, matched_sets=sets, distances=dists, m=sets.shape[1],
             k_counts=np.bincount(sets.ravel(), minlength=n),
@@ -115,12 +120,19 @@ def match_units(
 ) -> MatchResult:
     """Find the m nearest opposite-arm units for every unit (with replacement).
 
-    Exact O(n^2 p) scan; ties broken by smallest unit index, over candidates
-    listed in ascending index order (see _nearest). Deterministic.
+    Exact scan in n1 * n0 * p work: each treated-control distance is formed
+    once and serves both units. Treated rows are taken in blocks of at most
+    _BLOCK_BYTES of differences, so memory stays bounded as n grows; each
+    treated unit takes its m nearest from its block row, and each control
+    keeps its m nearest treated units so far, merged with every block's
+    column. Ties go to the smallest unit index (see _nearest), so the result
+    does not depend on the block size. Deterministic.
     """
     m = _check_int("m", m, 1)
     if metric.p != data.p:
         raise ValueError(f"metric is {metric.p}-d but data has p={data.p}")
+    if data.p == 0:
+        raise ValueError("data has no covariates to match on")
     n0, n1 = data.n_control, data.n_treated
     if min(n0, n1) < m:
         raise ValueError(
@@ -129,23 +141,39 @@ def match_units(
 
     # Whitened coordinates: metric distance becomes Euclidean distance.
     z = data.x @ metric.whitener()
-    n = data.n
-    matched_sets = np.empty((n, m), dtype=np.int64)
-    dists = np.empty((n, m), dtype=float)
-    for w in (0, 1):
-        units = data.arm_indices(w)
-        cands = data.arm_indices(1 - w)  # ascending original indices
-        z_c = z[cands]
-        rows = max(1, _BLOCK_BYTES // z_c.nbytes)
-        for start in range(0, len(units), rows):
-            block = units[start : start + rows]
-            # Explicit differences keep exactly-tied candidates bitwise equal.
-            diff = z[block][:, None, :] - z_c[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            order = _nearest(d2, m)
-            matched_sets[block] = cands[order]
-            dists[block] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    treated, control = data.arm_indices(1), data.arm_indices(0)  # ascending original indices
+    z_t, z_c = z[treated], z[control]
+    rows = max(1, _BLOCK_BYTES // z_c.nbytes)
+    diff = np.empty((min(rows, n1), n0, data.p))
+    t_sets = np.empty((n1, m), dtype=np.intp)  # positions in control
+    t_d2 = np.empty((n1, m))
+    c_sets = np.empty((n0, 0), dtype=np.intp)  # positions in treated, nearest first
+    c_d2 = np.empty((n0, 0))
+    for start in range(0, n1, rows):
+        block = slice(start, min(start + rows, n1))
+        d = diff[: block.stop - start]
+        # Explicit differences keep exactly-tied candidates bitwise equal, and
+        # z_c - z_t is exactly -(z_t - z_c), so both arms read the same d2.
+        d[...] = z_t[block, None, :]
+        d -= z_c
+        d2 = np.einsum("ijk,ijk->ij", d, d)
+        order = _nearest(d2, m)
+        t_sets[block] = order
+        t_d2[block] = np.take_along_axis(d2, order, axis=1)
+        # Kept entries have smaller treated indices than the block's, so the
+        # stable selection by position is the selection by (distance, index).
+        merged = np.concatenate((c_d2, d2.T), axis=1)
+        positions = np.concatenate(
+            (c_sets, np.broadcast_to(np.arange(block.start, block.stop), d2.T.shape)), axis=1
+        )
+        keep = _nearest(merged, min(m, merged.shape[1]))
+        c_sets = np.take_along_axis(positions, keep, axis=1)
+        c_d2 = np.take_along_axis(merged, keep, axis=1)
 
+    matched_sets = np.empty((data.n, m), dtype=np.int64)
+    dists = np.empty((data.n, m))
+    matched_sets[treated], dists[treated] = control[t_sets], np.sqrt(t_d2)
+    matched_sets[control], dists[control] = treated[c_sets], np.sqrt(c_d2)
     return MatchResult(matched_sets=matched_sets, distances=dists)
 
 

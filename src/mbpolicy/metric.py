@@ -55,6 +55,12 @@ def fit_mahalanobis(x: np.ndarray) -> MahalanobisMetric:
     n, p = x.shape
     if n < 2:
         raise ValueError(f"need n >= 2 to fit a sample covariance, got n={n}")
+    if p == 0:
+        raise ValueError("x has no columns; a metric needs at least one covariate")
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"x must be finite; row {row}, column {col} is {x[row, col]}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0

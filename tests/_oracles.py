@@ -10,7 +10,8 @@ feature pair, the lasso oracle runs plain cyclic coordinate descent to its
 tolerance, the CD-then-exact lasso oracle tries an exact solve only when
 the coordinate descent iterate's signs change, and the pattern-first lasso
 oracle is the library's step loop before it carried objective terms between
-steps.
+steps, and the per-arm matching oracle is the library's scan before it formed
+each cross-arm distance once.
 Slow on purpose; correctness reference only.
 """
 
@@ -20,7 +21,9 @@ import warnings
 
 import numpy as np
 
-from mbpolicy import ObservationalDataset, TreePolicy
+from mbpolicy import MahalanobisMetric, MatchResult, ObservationalDataset, TreePolicy
+from mbpolicy import matching
+from mbpolicy.dataset import _check_int
 from mbpolicy.outcome_models import (
     CD_MAX_CYCLES,
     CD_TOL,
@@ -78,6 +81,50 @@ def slow_matching_ate(
         else:
             total += counterfactual - y[i]
     return total / len(y)
+
+
+# The matching scan as it was when each arm searched the other on its own, so
+# every cross-arm distance was formed twice: `match_units` copied unchanged but
+# for its name and its module's names. The library's scan must give the same bytes.
+
+
+def per_arm_match_units(
+    data: ObservationalDataset, metric: MahalanobisMetric, m: int
+) -> MatchResult:
+    """Find the m nearest opposite-arm units for every unit (with replacement).
+
+    Exact O(n^2 p) scan; ties broken by smallest unit index, over candidates
+    listed in ascending index order (see _nearest). Deterministic.
+    """
+    m = _check_int("m", m, 1)
+    if metric.p != data.p:
+        raise ValueError(f"metric is {metric.p}-d but data has p={data.p}")
+    n0, n1 = data.n_control, data.n_treated
+    if min(n0, n1) < m:
+        raise ValueError(
+            f"each arm needs >= m={m} units; arms have n0={n0}, n1={n1}"
+        )
+
+    # Whitened coordinates: metric distance becomes Euclidean distance.
+    z = data.x @ metric.whitener()
+    n = data.n
+    matched_sets = np.empty((n, m), dtype=np.int64)
+    dists = np.empty((n, m), dtype=float)
+    for w in (0, 1):
+        units = data.arm_indices(w)
+        cands = data.arm_indices(1 - w)  # ascending original indices
+        z_c = z[cands]
+        rows = max(1, matching._BLOCK_BYTES // z_c.nbytes)
+        for start in range(0, len(units), rows):
+            block = units[start : start + rows]
+            # Explicit differences keep exactly-tied candidates bitwise equal.
+            diff = z[block][:, None, :] - z_c[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            order = matching._nearest(d2, m)
+            matched_sets[block] = cands[order]
+            dists[block] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+    return MatchResult(matched_sets=matched_sets, distances=dists)
 
 
 def _candidates(values: np.ndarray) -> list[float]:

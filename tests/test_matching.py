@@ -1,5 +1,8 @@
+import importlib.util
 import re
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from mbpolicy import (
 
 from mbpolicy import matching
 
-from _oracles import random_dataset, slow_matched_sets
+from _oracles import per_arm_match_units, random_dataset, slow_matched_sets
 
 
 def four_unit_example(y=(5.0, 1.0, 4.0, 2.0)):
@@ -45,6 +48,11 @@ class TestDerivedFields:
     def test_match_result_rejects_bad_sets(self, sets):
         with pytest.raises(ValueError, match="matched_sets"):
             MatchResult(matched_sets=sets, distances=np.ones(np.shape(sets)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_match_result_rejects_bad_distances(self, bad):
+        with pytest.raises(ValueError, match="distances must be non-negative"):
+            MatchResult(matched_sets=[[1], [0]], distances=[[0.5], [bad]])
 
     def test_imputation_derives_gamma(self):
         imputed = ImputedPotentialOutcomes(y0=[1.0, 2.5, -0.0], y1=[4.0, -1.0, 0.0])
@@ -155,6 +163,13 @@ class TestMatchUnits:
         with pytest.raises(ValueError, match="metric is 2-d"):
             match_units(data, wrong, m=1)
 
+    def test_no_covariates_rejected(self):
+        data = ObservationalDataset(
+            x=np.zeros((4, 0)), w=np.array([0, 1, 0, 1]), y=np.zeros(4), feature_names=()
+        )
+        with pytest.raises(ValueError, match="no covariates"):
+            match_units(data, MahalanobisMetric(v=np.zeros((0, 0)), ridge=0.0), m=1)
+
     def test_csv_dump(self, tmp_path):
         data = four_unit_example()
         matches = match_units(data, fit_mahalanobis(data.x), m=1)
@@ -197,6 +212,81 @@ class TestArmSwap:
         tree, mirrored_tree = search_tree(data.x, gamma, 2), search_tree(data.x, mirrored_gamma, 2)
         assert mirrored_tree.features.tobytes() == tree.features.tobytes()
         assert mirrored_tree.thresholds.tobytes() == tree.thresholds.tobytes()
+
+
+def study_fold():
+    """A 356-row fold (every row but each fifth) of the benchmark's study-shaped file, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "nsw_shaped.py"
+    spec = importlib.util.spec_from_file_location("nsw_shaped", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rows = module.generate_rows(0)
+    rows = rows[np.arange(len(rows)) % 5 != 0]
+    return ObservationalDataset(
+        x=rows[:, 1:9], w=rows[:, 0].astype(np.int64), y=rows[:, 9],
+        feature_names=module.HEADER[1:9],
+    )
+
+
+def one_pass_problem(kind):
+    """Covariates with fewer treated than control units: continuous, rounded or the study fold."""
+    if kind == "study":
+        return study_fold()
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(300, 3))
+    if kind == "rounded":
+        x = np.round(x)  # many exactly tied distances
+    w = rng.permutation(np.repeat([1, 0], [110, 190]))
+    return ObservationalDataset(x=x, w=w, y=rng.normal(size=300), feature_names=("a", "b", "c"))
+
+
+class TestOneDistancePass:
+    """Each cross-arm distance is formed once, with the per-arm scan's bytes."""
+
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-row-blocks"])
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("swap", [False, True], ids=["n1<n0", "n1>n0"])
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "study"])
+    def test_bitwise_equal_to_the_per_arm_scan(self, monkeypatch, kind, swap, m, block_bytes):
+        data = one_pass_problem(kind)
+        if swap:
+            data = replace(data, w=1 - data.w)
+        assert (data.n_treated < data.n_control) != swap
+        metric = fit_mahalanobis(data.x)
+        expected = per_arm_match_units(data, metric, m)
+        if block_bytes is not None:
+            monkeypatch.setattr(matching, "_BLOCK_BYTES", block_bytes)
+        matches = match_units(data, metric, m)
+        for name in ("matched_sets", "distances", "k_counts"):
+            assert getattr(matches, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_each_cross_arm_distance_formed_once(self, monkeypatch):
+        data = study_fold()
+        metric = fit_mahalanobis(data.x)
+        formed = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            out = einsum(*args, **kwargs)
+            formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "einsum", spy)
+        match_units(data, metric, 5)
+        monkeypatch.undo()
+        assert formed == [data.n_treated * data.n_control]
+
+    def test_memory_stays_bounded_at_n_8000(self):
+        data = random_dataset(np.random.default_rng(35), 8000, 4, min_arm=5)
+        metric = fit_mahalanobis(data.x)
+        tracemalloc.start()
+        try:
+            match_units(data, metric, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole n1 x n0 distance matrix alone would be about 128 MB
+        assert peak < 24 * 2**20
 
 
 class TestNearest:

@@ -41,6 +41,18 @@ def test_single_row_rejected():
         fit_mahalanobis(np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_rejected(bad):
+    x = np.array([[1.0, 0.0], [2.0, bad], [0.5, 3.0]])
+    with pytest.raises(ValueError, match="x must be finite; row 1, column 1"):
+        fit_mahalanobis(x)
+
+
+def test_no_columns_rejected():
+    with pytest.raises(ValueError, match="x has no columns"):
+        fit_mahalanobis(np.zeros((3, 0)))
+
+
 class TestDistance:
     def test_zero_for_identical_points(self):
         metric = fit_mahalanobis(np.random.default_rng(0).normal(size=(10, 2)))
