@@ -21,10 +21,12 @@ It runs, in this order:
   `generate(SimulationSpec(1, "linear", "tree", n, seed=1010))` for n in
   200, 500, 1000, 2000, and `match_units` (m=5) on a study-shaped fold: the
   356 rows (every row but each fifth) of bench/nsw_shaped.py's seed-0 file
-  with all eight covariates; one process per run, alternating sides, each
-  timing one warm-up and three calls per stage and n and keeping their
-  median; the digests of the outputs (matched sets and distances, tree, lasso
-  coefficients and penalties) must agree between sides;
+  with all eight covariates, and `load_csv` of that whole 445-row file with
+  every other column a covariate; one process per run, alternating sides,
+  each timing one warm-up and three calls per stage and n (101 for
+  `load_csv`, which takes milliseconds) and keeping their median; the
+  digests of the outputs (matched sets and distances, tree, lasso
+  coefficients and penalties, loaded x, w and y) must agree between sides;
 - `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
 
@@ -53,21 +55,21 @@ STAGE_RUNS = 5
 STAGES = ("match", "search", "lasso")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
-# Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "match_study": s,
-# "digest": {n: sha, "study": sha}}.
+# Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "study_match": s,
+# "study_load": s, "digest": {n: sha, "study_match": sha, "study_load": sha}}.
 STAGE_CODE = """
-import hashlib, json, statistics, sys, time
+import hashlib, json, pathlib, statistics, sys, tempfile, time
 import numpy as np
 from mbpolicy import (
-    LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis, impute_scores,
-    match_units, search_tree,
+    CsvSchema, LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis,
+    impute_scores, load_csv, match_units, search_tree,
 )
 from mbpolicy.simulation import SimulationSpec, generate
 
-def timed(fn):
+def timed(fn, calls=3):
     fn()
     times = []
-    for _ in range(3):
+    for _ in range(calls):
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
@@ -96,9 +98,16 @@ fold = ObservationalDataset(
     feature_names=nsw_shaped.HEADER[1:9],
 )
 metric = fit_mahalanobis(fold.x)
-out["match_study"], matches = timed(lambda: match_units(fold, metric, 5))
+out["study_match"], matches = timed(lambda: match_units(fold, metric, 5))
 digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
-out["digest"]["study"] = digest.hexdigest()
+out["digest"]["study_match"] = digest.hexdigest()
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = nsw_shaped.write_csv(pathlib.Path(tmp) / "s.csv", 0)
+    schema = CsvSchema("treat", "re78", ())
+    out["study_load"], data = timed(lambda: load_csv(path, schema), calls=101)
+digest = hashlib.sha256(data.x.tobytes() + data.w.tobytes() + data.y.tobytes())
+out["digest"]["study_load"] = digest.hexdigest()
 print(json.dumps(out))
 """
 
@@ -205,15 +214,21 @@ def stages(sides: dict) -> dict:
         digests = {sample["digest"][n] for side in sides for sample in samples[side]}
         entry["same_outputs"] = len(digests) == 1
         out["by_n"][n] = entry
-    study = {"fixture": "match_units(fold, fit_mahalanobis(fold.x), 5) on the 356 rows of "
-             "bench/nsw_shaped.py's seed-0 file whose index is not a multiple of 5, "
-             "eight covariates"}
-    for side in sides:
-        times = [sample["match_study"] for sample in samples[side]]
-        study[f"{side}_median_s"] = statistics.median(times)
-        study[f"{side}_runs_s"] = times
-    study["same_outputs"] = len({s["digest"]["study"] for side in sides for s in samples[side]}) == 1
-    out["study_match"] = study
+    fixtures = {
+        "study_match": "match_units(fold, fit_mahalanobis(fold.x), 5) on the 356 rows of "
+        "bench/nsw_shaped.py's seed-0 file whose index is not a multiple of 5, eight covariates",
+        "study_load": "load_csv(path, CsvSchema('treat', 're78', ())) on "
+        "nsw_shaped.write_csv(path, 0), 445 rows; median of 101 calls",
+    }
+    for stage, fixture in fixtures.items():
+        study = {"fixture": fixture}
+        for side in sides:
+            times = [sample[stage] for sample in samples[side]]
+            study[f"{side}_median_s"] = statistics.median(times)
+            study[f"{side}_runs_s"] = times
+        digests = {sample["digest"][stage] for side in sides for sample in samples[side]}
+        study["same_outputs"] = len(digests) == 1
+        out[stage] = study
     return out
 
 

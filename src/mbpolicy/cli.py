@@ -137,8 +137,6 @@ def _split_csv_flag(flag_value: str) -> list[str]:
 
 def _load_dataset(args: argparse.Namespace):
     path = Path(args.data)
-    if not path.exists():
-        raise FileNotFoundError(f"data file not found: {path}")
     schema = CsvSchema(args.treatment_col, args.outcome_col, _split_csv_flag(args.covariates))
     data = load_csv(path, schema)
     if args.exclude:
@@ -172,8 +170,11 @@ def _resolve_policy(
         raise FileNotFoundError(
             f"policy {spec!r} is not 'treat-all', 'treat-none', or an existing file"
         )
-    text = path.read_text(encoding="utf-8")
-    tree = TreePolicy.from_json(text) if path.suffix == ".json" else TreePolicy.from_text(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+        tree = TreePolicy.from_json(text) if path.suffix == ".json" else TreePolicy.from_text(text)
+    except ValueError as exc:  # a bad byte, bad JSON or a bad line: name the file
+        raise ValueError(f"{path}: {exc}") from None
     if tree.feature_names is not None:
         for j in sorted(set(tree.features.tolist())):
             if j < len(feature_names) and tree.feature_names[j] != feature_names[j]:

@@ -9,10 +9,11 @@ differences, the studentized mean difference per covariate.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -228,8 +229,40 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def _read_header(reader: Iterator[list[str]], path: Path) -> list[str]:
-    """The first CSV row, names stripped of surrounding whitespace and unique."""
+def _number(path: Path, row: int, column: str, cell: str) -> float:
+    """One CSV cell as a finite float; an error names the data row and the column."""
+    cell = cell.strip()
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(
+            f"{path}: row {row}, column {column!r}: could not parse {cell!r} as a number"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {row}, column {column!r}: non-finite value {cell!r}")
+    return value
+
+
+def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
+    """Load a UTF-8 (optionally BOM-prefixed), comma-delimited, headered CSV into a dataset.
+
+    Rows keep file order. Header names and cells are stripped of surrounding
+    whitespace, and a cell is read as Python's float() reads it: so ``1_000``
+    and a full-width ``３`` are numbers, while ``nan``, ``inf`` and ``1e309``
+    are rejected as non-finite. Any unparsable cell is an error naming the
+    data row (1-based, header excluded) and the column; bytes that are not
+    UTF-8 are an error naming the physical line. Nothing is silently dropped.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"data file not found: {path}")
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any BOM, which is what exc.start indexes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file, expected a header row")
@@ -237,75 +270,34 @@ def _read_header(reader: Iterator[list[str]], path: Path) -> list[str]:
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise ValueError(f"{path}: header repeats column(s) {repeated}")
-    return header
+    roles = (schema.treatment, schema.outcome)
+    covariates = schema.covariates or tuple(name for name in header if name not in roles)
+    missing = [name for name in (*roles, *covariates) if name not in header]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
+    if not covariates:
+        raise ValueError(f"{path}: no covariate column besides {list(roles)}")
+    w_col = header.index(schema.treatment)
+    columns = [(header.index(name), name) for name in (schema.outcome, *covariates)]
+    table: list[list[float]] = []  # one [w, y, *x] per data row
+    for row_num, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
+            )
+        w = _number(path, row_num, schema.treatment, row[w_col])
+        if w not in (0.0, 1.0):
+            raise ValueError(
+                f"{path}: row {row_num}, column {schema.treatment!r}: "
+                f"treatment must be 0 or 1, got {row[w_col].strip()!r}"
+            )
+        table.append([w, *(_number(path, row_num, name, row[col]) for col, name in columns)])
 
-
-def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
-    """Load a UTF-8 (optionally BOM-prefixed), comma-delimited, headered CSV into a dataset.
-
-    Rows keep file order. Any unparsable cell is an error naming the data row
-    (1-based, header excluded) and the column; nothing is silently dropped.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        col_of = {name: idx for idx, name in enumerate(header)}
-        roles = (schema.treatment, schema.outcome)
-        covariates = schema.covariates or tuple(name for name in header if name not in roles)
-        missing = [name for name in (*roles, *covariates) if name not in col_of]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {missing}; header is {header}")
-        if not covariates:
-            raise ValueError(f"{path}: no covariate column besides {list(roles)}")
-
-        w_col = col_of[schema.treatment]
-        y_col = col_of[schema.outcome]
-        x_cols = [col_of[name] for name in covariates]
-
-        x_rows: list[list[float]] = []
-        w_vals: list[int] = []
-        y_vals: list[float] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
-                )
-
-            def parse(col: int, colname: str) -> float:
-                cell = row[col].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_num}, column {colname!r}: "
-                        f"could not parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {row_num}, column {colname!r}: non-finite value {cell!r}"
-                    )
-                return value
-
-            w_raw = parse(w_col, schema.treatment)
-            if w_raw not in (0.0, 1.0):
-                raise ValueError(
-                    f"{path}: row {row_num}, column {schema.treatment!r}: "
-                    f"treatment must be 0 or 1, got {row[w_col].strip()!r}"
-                )
-            w_vals.append(int(w_raw))
-            y_vals.append(parse(y_col, schema.outcome))
-            x_rows.append([parse(c, name) for c, name in zip(x_cols, covariates)])
-
-    if len(x_rows) < 2:
-        raise ValueError(f"{path}: found {len(x_rows)} data rows, need at least 2")
+    if len(table) < 2:
+        raise ValueError(f"{path}: found {len(table)} data rows, need at least 2")
+    values = np.array(table, dtype=float)
     return ObservationalDataset(
-        x=np.array(x_rows, dtype=float),
-        w=np.array(w_vals, dtype=np.int64),
-        y=np.array(y_vals, dtype=float),
-        feature_names=covariates,
+        x=values[:, 2:], w=values[:, 0], y=values[:, 1], feature_names=covariates
     )
 
 

@@ -488,3 +488,47 @@ class TestRepeatedHeader:
                      "--out", str(tmp_path / "bal")])
         assert code == 1
         assert "header repeats column(s) ['a']" in capsys.readouterr().err
+
+
+MALFORMED_CSVS = {
+    "invalid-utf8": b"treat,re78,a\n1,5.0,0\n\xff0,4.0,1\n",
+    "non-numeric": b"treat,re78,a\n1,5.0,0\n0,oops,1\n",
+    "field-count": b"treat,re78,a\n1,5.0,0\n0,4.0\n",
+    "non-finite": b"treat,re78,a\n1,5.0,0\n0,4.0,1e309\n",
+    "treatment-2": b"treat,re78,a\n1,5.0,0\n2,4.0,1\n",
+}
+
+
+class TestMalformedCsv:
+    """A malformed data file is one error line naming it, and no output file."""
+
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED_CSVS))
+    @pytest.mark.parametrize("command", [
+        ["learn"], ["evaluate"], ["evaluate", "--cv"], ["balance"],
+    ], ids=["learn", "evaluate", "evaluate-cv", "balance"])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, command, malformed):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(MALFORMED_CSVS[malformed])
+        out = tmp_path / "out"
+        assert main([*command, "--data", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestPolicyFileErrors:
+    """Reading or parsing a policy file fails with an error that names the file."""
+
+    @pytest.mark.parametrize("name,content,detail", [
+        ("p.txt", b"policy depth=1\neligible: 0\n\xff", "can't decode byte 0xff"),
+        ("p.json", b'{"depth": 1, ', "Expecting property name"),
+        ("p.txt", b"policy depth=1\neligible: 0\nif x[0] <= 1.0\n", "line 3: expected split"),
+    ], ids=["invalid-utf8", "bad-json", "bad-text-line"])
+    def test_error_names_the_policy_file(self, eval_csv, tmp_path, capsys, name, content, detail):
+        policy = tmp_path / name
+        policy.write_bytes(content)
+        code = main(["evaluate", "--data", str(eval_csv), "--policy", str(policy),
+                     "--out", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {policy}: ") and detail in err, err

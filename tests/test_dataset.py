@@ -1,7 +1,11 @@
+import csv
+import io
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mbpolicy import (
     CsvSchema,
@@ -107,6 +111,177 @@ class TestLoadCsv:
     def test_schema_rejects_duplicate_roles(self):
         with pytest.raises(ValueError, match="multiple roles"):
             CsvSchema(treatment="w", outcome="w", covariates=("a",))
+
+    @pytest.mark.parametrize("row,first", [
+        ("x,oops,nan", "has 3 fields, expected 4"),
+        ("x,oops,bb,nan", "column 'w': could not parse 'x'"),
+        ("2,oops,bb,nan", "column 'w': treatment must be 0 or 1, got '2'"),
+        ("1, oops ,bb,nan", "column 'y': could not parse 'oops'"),
+        ("1,4.0,bb,nan", "column 'a': non-finite value 'nan'"),
+        ("1,4.0,bb,0", "column 'b': could not parse 'bb'"),
+    ])
+    def test_first_fault_of_a_row_is_the_one_reported(self, tmp_path, row, first):
+        # field count, treatment cell, treatment value, outcome, then schema order (a before b)
+        path = write_csv(tmp_path, f"w,y,b,a\n1,5.0,10,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2.*{re.escape(first)}"):
+            load_csv(path, SCHEMA)
+
+    def test_blank_first_line_is_a_header_without_columns(self, tmp_path):
+        path = write_csv(tmp_path, "\nw,y,a,b\n1,5.0,0,10\n0,4.0,1,11\n")
+        missing = "missing column(s) ['w', 'y', 'a', 'b']; header is []"
+        with pytest.raises(ValueError, match=re.escape(missing)):
+            load_csv(path, SCHEMA)
+        empty = write_csv(tmp_path, "", name="empty.csv")
+        with pytest.raises(ValueError, match="empty file, expected a header row"):
+            load_csv(empty, SCHEMA)
+
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        # underscores, full-width digits and surrounding whitespace are float()'s own leniency
+        path = write_csv(tmp_path, "w,y,a,b\n1, 1_000 ,\uff13,10\n0,4.0,1,11\n")
+        data = load_csv(path, SCHEMA)
+        np.testing.assert_array_equal(data.y, [1000.0, 4.0])
+        np.testing.assert_array_equal(data.x, [[3.0, 10.0], [1.0, 11.0]])
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, bom):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bom + b"w,y,a,b\n1,5.0,0,10\n\xff0,4.0,1,11\n")
+        with pytest.raises(
+            ValueError,
+            match=f"^{re.escape(str(path))}: line 3: not valid UTF-8 \\(invalid start byte\\)$",
+        ):
+            load_csv(path, SCHEMA)
+
+
+COLUMNS = ("w", "y", "a", "b", "c")  # "c" has no role in BOUNDARY_SCHEMA, so it is never parsed
+BOUNDARY_SCHEMA = CsvSchema(treatment="w", outcome="y", covariates=("a", "b"))
+ROLES = ("w", "y", "a", "b")  # the loader's per-row check order after the field count
+NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+CORRUPTIONS = (
+    "none", "drop_field", "add_field", "non_numeric", "non_finite", "blank_line",
+    "quoted_newline", "nul", "invalid_utf8", "treatment_2", "repeated_header",
+)
+
+
+@st.composite
+def corrupted_csvs(draw):
+    """A valid table with one corruption: (file bytes, 1-based line of invalid UTF-8 or None)."""
+    header = list(draw(st.permutations(COLUMNS)))
+    pad = st.sampled_from(["", " "])
+    rows = [
+        [draw(pad) + (draw(st.sampled_from(["0", "1"])) if name == "w" else draw(NUMBERS))
+         for name in header]
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    lines = [header, *rows]
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    line = draw(st.integers(0, len(lines) - 1))  # the physical line a corruption goes on
+    col = draw(st.integers(0, len(header) - 1))
+    if kind == "drop_field":
+        del lines[line][col]
+    elif kind == "add_field":
+        lines[line].append(draw(NUMBERS))
+    elif kind == "non_numeric":
+        lines[line][col] = draw(st.sampled_from(["abc", "", "1.2.3", "0x10", "--1", "1 2"]))
+    elif kind == "non_finite":
+        lines[line][col] = draw(st.sampled_from(["nan", "-inf", "Infinity", "1e309", "-1e400"]))
+    elif kind == "quoted_newline":
+        lines[line][col] = f'"{lines[line][col]}\n1"'
+    elif kind == "nul":
+        lines[line][col] += "\x00"
+    elif kind == "treatment_2":
+        lines[draw(st.integers(1, len(rows)))][header.index("w")] = draw(
+            st.sampled_from(["2", "-1", "0.5"])
+        )
+    elif kind == "repeated_header":
+        other = draw(st.sampled_from([name for name in header if name != header[col]]))
+        header[col] = draw(pad) + other
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    encoded = [",".join(cells).encode() for cells in lines]
+    if kind == "blank_line":
+        encoded.insert(draw(st.integers(0, len(encoded))), b"")
+    bad_line = None
+    if kind == "invalid_utf8":
+        bad_line = line + 1
+        at = draw(st.integers(0, len(encoded[line])))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80"]))
+        encoded[line] = encoded[line][:at] + bad + encoded[line][at:]
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + b"".join(chunk + newline.encode() for chunk in encoded), bad_line
+
+
+def reference_parse(raw):
+    """The loader's contract on a UTF-8 file, written out longhand.
+
+    Returns ("ok", table) with one [w, y, a, b] list per data row, ("file",)
+    for a fault outside the data rows, or ("row", r, column) for the first
+    fault of 1-based data row r (column None for a wrong field count).
+    """
+    records = list(csv.reader(io.StringIO(raw.decode("utf-8-sig"), newline="")))
+    if not records:
+        return ("file",)
+    header = [name.strip() for name in records[0]]
+    if len(set(header)) != len(header) or not set(ROLES) <= set(header):
+        return ("file",)
+    table = []
+    for r, record in enumerate(records[1:], start=1):
+        if len(record) != len(header):
+            return ("row", r, None)
+        values = []
+        for name in ROLES:
+            try:
+                value = float(record[header.index(name)].strip())
+            except ValueError:
+                return ("row", r, name)
+            if not math.isfinite(value) or (name == "w" and value not in (0.0, 1.0)):
+                return ("row", r, name)
+            values.append(value)
+        table.append(values)
+    return ("ok", table) if len(table) >= 2 else ("file",)
+
+
+class TestCsvBoundary:
+    """Any one corruption of a valid table parses as the reference does, or fails naming where."""
+
+    @settings(
+        deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(corrupted_csvs())
+    def test_loads_as_reference_or_names_the_fault(self, tmp_path, case):
+        raw, bad_line = case
+        path = tmp_path / "boundary.csv"
+        path.write_bytes(raw)
+        where = re.escape(str(path))
+        if bad_line is not None:
+            with pytest.raises(ValueError, match=f"^{where}: line {bad_line}: not valid UTF-8 "):
+                load_csv(path, BOUNDARY_SCHEMA)
+            return
+        try:
+            expected = reference_parse(raw)
+        except csv.Error as exc:  # csv.reader before Python 3.11 rejects a NUL byte
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                load_csv(path, BOUNDARY_SCHEMA)
+            return
+        if expected[0] == "ok":
+            data = load_csv(path, BOUNDARY_SCHEMA)
+            table = np.array(expected[1])
+            assert data.feature_names == ("a", "b")
+            assert data.w.tobytes() == table[:, 0].astype(np.int64).tobytes()
+            assert data.y.tobytes() == table[:, 1].tobytes()
+            assert data.x.tobytes() == table[:, 2:].tobytes()
+            return
+        with pytest.raises(ValueError) as excinfo:
+            load_csv(path, BOUNDARY_SCHEMA)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: "), message
+        if expected[0] == "row":
+            _, row, column = expected
+            assert re.match(f"{where}: row {row}[ ,]", message), message
+            if column is not None:
+                assert f"column {column!r}" in message, message
 
 
 class TestDatasetInvariants:
