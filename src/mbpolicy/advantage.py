@@ -22,8 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ObservationalDataset, _check_assignments, _check_propensities, _freeze
-from .matching import ImputedPotentialOutcomes, MatchResult, _check_fresh, k_pi_counts
-from .outcome_models import OutcomeModel, predict_matrix
+from .matching import (
+    ImputedPotentialOutcomes, MatchResult, _check_fresh, _other_arm_means, k_pi_counts,
+)
+from .outcome_models import OutcomeModel, _arm_means
 
 __all__ = [
     "AdvantageDecomposition",
@@ -35,7 +37,7 @@ __all__ = [
     "aipw_scores",
 ]
 
-PROPENSITY_CLIP = 0.01
+PROPENSITY_CLIP = 0.01  # every plug-in propensity is clipped into [0.01, 0.99]
 
 
 @dataclass(frozen=True)
@@ -88,39 +90,17 @@ def _signed(assignments: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * _check_assignments(assignments, n).astype(float) - 1.0
 
 
-def _mu_matrix(
-    mu: Callable[[np.ndarray, int], np.ndarray], x: np.ndarray, w: int
+def _clip_propensities(e_hat: np.ndarray) -> np.ndarray:
+    """Propensities clipped into [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP]."""
+    return np.clip(e_hat, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+
+
+def _outcome_weights(
+    data: ObservationalDataset, matches: MatchResult, pi: np.ndarray
 ) -> np.ndarray:
-    """Evaluate a vectorized mean function on every row of x for a fixed arm.
-
-    mu(x, w) takes the (n, p) matrix and must return one value per row.
-    """
-    result = np.asarray(mu(x, w), dtype=float)
-    if result.shape != (x.shape[0],):
-        raise ValueError(
-            f"mean function must return {x.shape[0]} values for arm {w}, "
-            f"got shape {result.shape}"
-        )
-    return result
-
-
-def _discrepancy(
-    data: ObservationalDataset,
-    matches: MatchResult,
-    signs: np.ndarray,
-    mu0: np.ndarray,
-    mu1: np.ndarray,
-) -> float:
-    """b_m = (1/n) sum (2W_i-1)(2 pi_i - 1)(1/M) sum_j (mu(X_i,1-W_i) - mu(X_j,1-W_i)).
-
-    mu0 and mu1 are the mean function at every row for arm 0 and arm 1. A
-    matched unit sits in the opposite arm, so mu(X_j, 1-W_i) is its own-arm mean.
-    """
-    w = data.w
-    w_signs = 2.0 * w.astype(float) - 1.0
-    mu_other = np.where(w == 1, mu0, mu1)
-    mu_match = np.where(w == 1, mu1, mu0)[matches.matched_sets].mean(axis=1)
-    return float(np.mean(w_signs * signs * (mu_other - mu_match)))
+    """(2W_i-1)[(2 pi_i - 1) + K(pi,i)/M], the weight of unit i's outcome in the raw estimate."""
+    k_pi = k_pi_counts(matches, pi).astype(float)
+    return _signed(data.w, data.n) * (_signed(pi, data.n) + k_pi / matches.m)
 
 
 def advantage_estimate(
@@ -142,10 +122,7 @@ def advantage_linear_form(
     """
     signs = _signed(assignments, data.n)
     _check_fresh(data, matches)
-    k_pi = k_pi_counts(matches, assignments)
-    w_signs = 2.0 * data.w.astype(float) - 1.0
-    weights = signs + k_pi.astype(float) / matches.m
-    return float(np.mean(w_signs * weights * data.y))
+    return float(np.mean(_outcome_weights(data, matches, assignments) * data.y))
 
 
 def decompose_advantage(
@@ -156,7 +133,7 @@ def decompose_advantage(
 ) -> AdvantageDecomposition:
     """Split the raw matching estimate into signal, noise, and discrepancy terms.
 
-    Requires the true mean function, so this is a simulation-only oracle:
+    Exact for the true mean function mu (a simulation oracle); a fitted model may stand in:
       a_bar = (1/n) sum (2 pi_i - 1)(mu(X_i,1) - mu(X_i,0))
       e_m   = (1/n) sum (2W_i-1)[(2 pi_i - 1) + K(pi,i)/M] eps_i
       b_m   = (1/n) sum (2W_i-1)(2 pi_i - 1)(1/M) sum_j (mu(X_i,1-W_i) - mu(X_j,1-W_i))
@@ -164,18 +141,14 @@ def decompose_advantage(
     """
     signs = _signed(assignments, data.n)
     _check_fresh(data, matches)
-    mu0 = _mu_matrix(true_mu, data.x, 0)
-    mu1 = _mu_matrix(true_mu, data.x, 1)
-    w = data.w
-    w_signs = 2.0 * w.astype(float) - 1.0
+    mu0, mu1 = _arm_means(true_mu, data.x)
 
     a_bar = float(np.mean(signs * (mu1 - mu0)))
 
-    mu_own = np.where(w == 1, mu1, mu0)
-    eps = data.y - mu_own
-    k_pi = k_pi_counts(matches, assignments).astype(float)
-    e_m = float(np.mean(w_signs * (signs + k_pi / matches.m) * eps))
-    b_m = _discrepancy(data, matches, signs, mu0, mu1)
+    eps = data.y - np.where(data.w == 1, mu1, mu0)
+    e_m = float(np.mean(_outcome_weights(data, matches, assignments) * eps))
+    mu_other, mu_match = _other_arm_means(data, matches, mu0, mu1)
+    b_m = float(np.mean(_signed(data.w, data.n) * signs * (mu_other - mu_match)))
 
     return AdvantageDecomposition(a_bar=a_bar, e_m=e_m, b_m=b_m)
 
@@ -192,11 +165,7 @@ def estimate_conditional_bias(
     the true mean function: raw estimate minus this quantity equals the
     bias-corrected estimate.
     """
-    signs = _signed(assignments, data.n)
-    _check_fresh(data, matches)
-    mu0 = predict_matrix(model, data.x, 0)
-    mu1 = predict_matrix(model, data.x, 1)
-    return _discrepancy(data, matches, signs, mu0, mu1)
+    return decompose_advantage(data, matches, assignments, model).b_m
 
 
 def aipw_scores(
@@ -211,12 +180,10 @@ def aipw_scores(
     and counted; values outside [0, 1] are rejected.
     """
     e_hat = _check_propensities(e_hat, data.n)
-    clipped = np.clip(e_hat, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+    clipped = _clip_propensities(e_hat)
     n_clipped = int(np.sum(clipped != e_hat))
 
-    mu0 = _mu_matrix(mu_hat, data.x, 0)
-    mu1 = _mu_matrix(mu_hat, data.x, 1)
-    mu_own = np.where(data.w == 1, mu1, mu0)
-    residual = data.y - mu_own
+    mu0, mu1 = _arm_means(mu_hat, data.x)
+    residual = data.y - np.where(data.w == 1, mu1, mu0)
     gamma = mu1 - mu0 + (data.w - clipped) / (clipped * (1.0 - clipped)) * residual
     return AipwScores(gamma=gamma, e_hat=clipped, n_clipped=n_clipped)

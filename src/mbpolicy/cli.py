@@ -20,17 +20,13 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
-from .dataset import CsvSchema, load_csv, normalized_differences, write_csv
+from .dataset import CsvSchema, _read_text, load_csv, normalized_differences, write_csv
 from .evaluation import (
-    aipw_value_estimate,
-    arm_proportion_propensity,
-    cross_validate,
-    fit_linear_probability,
+    aipw_value_estimate, arm_proportion_propensity, cross_validate, fit_linear_probability,
 )
-from .outcome_models import fit_ols_per_arm, predict_matrix
+from .outcome_models import fit_ols_per_arm
 from .policytree import (
     CORRECTIONS,
     MAX_DEPTH,
@@ -170,18 +166,22 @@ def _resolve_policy(
         raise FileNotFoundError(
             f"policy {spec!r} is not 'treat-all', 'treat-none', or an existing file"
         )
+    text = _read_text(path)
     try:
-        text = path.read_text(encoding="utf-8")
         tree = TreePolicy.from_json(text) if path.suffix == ".json" else TreePolicy.from_text(text)
-    except ValueError as exc:  # a bad byte, bad JSON or a bad line: name the file
+    except ValueError as exc:  # bad JSON, a bad key or a bad line
         raise ValueError(f"{path}: {exc}") from None
-    if tree.feature_names is not None:
-        for j in sorted(set(tree.features.tolist())):
-            if j < len(feature_names) and tree.feature_names[j] != feature_names[j]:
-                raise ValueError(
-                    f"policy splits on feature {j} named {tree.feature_names[j]!r}, "
-                    f"but column {j} of the data is {feature_names[j]!r}"
-                )
+    for j in sorted(set(tree.features.tolist())):
+        if j >= len(feature_names):
+            raise ValueError(
+                f"{path}: policy splits on feature {j}, "
+                f"but the data has {len(feature_names)} covariate(s)"
+            )
+        if tree.feature_names is not None and tree.feature_names[j] != feature_names[j]:
+            raise ValueError(
+                f"{path}: policy splits on feature {j} named {tree.feature_names[j]!r}, "
+                f"but column {j} of the data is {feature_names[j]!r}"
+            )
     return tree, {"policy": path}
 
 
@@ -325,8 +325,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     tree, policy_inputs = _resolve_policy(args.policy, data.feature_names)
     _write_manifest(out, "evaluate", parameters, inputs={"data": path, **policy_inputs})
     assignments = evaluate_policy(tree, data.x)
-    mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
-    value = aipw_value_estimate(data, assignments, e_hat, mu_hat)
+    value = aipw_value_estimate(data, assignments, e_hat, fit_ols_per_arm(data, "quadratic"))
     _write_json(out / "evaluation.json", {
         "policy": args.policy, "value": value, "n_treated_by_policy": int(assignments.sum())
     })

@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,6 +243,25 @@ def _number(path: Path, row: int, column: str, cell: str) -> float:
     return value
 
 
+def _read_text(path: Path) -> str:
+    """A file's UTF-8 text after an optional BOM; a byte that is not UTF-8 names its line."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any BOM, which is what exc.start indexes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+
+
+def _records(path: Path) -> Iterator[list[str]]:
+    """The file's CSV records; a csv.Error (an oversize field) names the physical line."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
     """Load a UTF-8 (optionally BOM-prefixed), comma-delimited, headered CSV into a dataset.
 
@@ -250,19 +269,13 @@ def load_csv(path: str | Path, schema: CsvSchema) -> ObservationalDataset:
     whitespace, and a cell is read as Python's float() reads it: so ``1_000``
     and a full-width ``３`` are numbers, while ``nan``, ``inf`` and ``1e309``
     are rejected as non-finite. Any unparsable cell is an error naming the
-    data row (1-based, header excluded) and the column; bytes that are not
-    UTF-8 are an error naming the physical line. Nothing is silently dropped.
+    data row (1-based, header excluded) and the column; non-UTF-8 bytes or a
+    record csv rejects (an oversize field) name the line. Nothing is silently dropped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"data file not found: {path}")
-    try:
-        text = path.read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.object is the input after any BOM, which is what exc.start indexes
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _records(path)
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file, expected a header row")

@@ -15,13 +15,12 @@ dataset, matching the protocol of evaluating with design-level propensities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .advantage import _mu_matrix
+from .advantage import _clip_propensities
 from .dataset import (
     ObservationalDataset,
     _check_assignments,
@@ -30,7 +29,7 @@ from .dataset import (
     _freeze,
     write_csv,
 )
-from .outcome_models import _standardize, fit_ols_per_arm, predict_matrix
+from .outcome_models import _arm_means, _standardize, fit_ols_per_arm
 from .policytree import TreePolicy, evaluate_policy
 from .seeding import derive_seed, philox_rng
 
@@ -42,8 +41,6 @@ __all__ = [
     "cross_validate",
 ]
 
-VALUE_CLIP = 0.01           # assigned-arm probability floor in the value display
-LINPROB_CLIP = (0.01, 0.99)  # fitted propensity range for the linear-probability plug-in
 LINPROB_RIDGE = 1e-6
 
 
@@ -56,14 +53,14 @@ def fit_linear_probability(data: ObservationalDataset) -> np.ndarray:
     """Fitted P(W=1 | X) from a ridge-regularized linear-probability regression.
 
     Slopes are penalized by LINPROB_RIDGE on standardized covariates
-    (intercept free); fitted values are clipped to LINPROB_CLIP. A
-    deliberately simple observational plug-in for evaluation baselines.
+    (intercept free); fitted values are clipped as every plug-in propensity
+    is. A deliberately simple observational plug-in for evaluation baselines.
     """
     design = np.hstack([np.ones((data.n, 1)), _standardize(data.x)[0]])
     penalty = LINPROB_RIDGE * np.eye(design.shape[1])
     penalty[0, 0] = 0.0
     coef = np.linalg.solve(design.T @ design + data.n * penalty, design.T @ data.w)
-    return np.clip(design @ coef, *LINPROB_CLIP)
+    return _clip_propensities(design @ coef)
 
 
 def aipw_value_estimate(
@@ -74,22 +71,18 @@ def aipw_value_estimate(
 ) -> float:
     """Doubly robust estimate of the mean outcome under the given assignments.
 
-    e_hat is the per-unit treatment probability P(W=1 | X); the assigned-arm
-    probability is derived from it and clipped at VALUE_CLIP.
+    e_hat is the per-unit treatment probability P(W=1 | X), clipped as in
+    aipw_scores; the assigned-arm probability is derived from it.
     """
     pi = _check_assignments(assignments, data.n).astype(np.int64)
-    e_treat = np.clip(_check_propensities(e_hat, data.n), VALUE_CLIP, 1.0 - VALUE_CLIP)
+    e_treat = _clip_propensities(_check_propensities(e_hat, data.n))
     e_assigned = np.where(pi == 1, e_treat, 1.0 - e_treat)
-    mu0 = _mu_matrix(mu_hat, data.x, 0)
-    mu1 = _mu_matrix(mu_hat, data.x, 1)
+    mu0, mu1 = _arm_means(mu_hat, data.x)
     mu_assigned = np.where(pi == 1, mu1, mu0)
     followed = (data.w == pi).astype(float)
-    return float(
-        np.mean(
-            data.y * followed / e_assigned
-            - (followed - e_assigned) / e_assigned * mu_assigned
-        )
-    )
+    return float(np.mean(
+        data.y * followed / e_assigned - (followed - e_assigned) / e_assigned * mu_assigned
+    ))
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def cross_validate(
         arm_proportion_propensity(data) if e_hat is None else e_hat, data.n
     )
     if mu_hat is None:
-        mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
+        mu_hat = fit_ols_per_arm(data, "quadratic")
     values = np.empty(repeats)
     failures: list[str] = []
     for rep in range(repeats):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import ObservationalDataset, _check_assignments, _check_int, _freeze, write_csv
 from .metric import MahalanobisMetric
-from .outcome_models import OutcomeModel, predict_matrix
+from .outcome_models import OutcomeModel, _arm_means
 
 __all__ = [
     "MatchResult",
@@ -205,17 +205,23 @@ def impute_bias_corrected(
     """Impute the counterfactual with regression adjustment for covariate discrepancy.
 
     For unit i with matches j, the counterfactual is the mean over j of
-    Y_j + mu_hat(X_i, 1 - W_i) - mu_hat(X_j, 1 - W_i). Since matched units sit
-    in the opposite arm, mu_hat(X_j, 1 - W_i) is j's observed-arm prediction.
+    Y_j + mu_hat(X_i, 1 - W_i) - mu_hat(X_j, 1 - W_i); model is any mean function.
     """
     _check_fresh(data, matches)
-    mu0 = predict_matrix(model, data.x, 0)
-    mu1 = predict_matrix(model, data.x, 1)
-    mu_counterfactual_self = np.where(data.w == 1, mu0, mu1)
-    mu_observed = np.where(data.w == 1, mu1, mu0)
+    mu_other, mu_matched = _other_arm_means(data, matches, *_arm_means(model, data.x))
     matched_y = data.y[matches.matched_sets].mean(axis=1)
-    matched_mu = mu_observed[matches.matched_sets].mean(axis=1)
-    return _imputed(data, matched_y + mu_counterfactual_self - matched_mu)
+    return _imputed(data, matched_y + mu_other - mu_matched)
+
+
+def _other_arm_means(
+    data: ObservationalDataset, matches: MatchResult, mu0: np.ndarray, mu1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """From mu0, mu1 (mu at every row per arm): mu(X_i, 1 - W_i) and (1/M) sum_j mu(X_j, 1 - W_i).
+
+    A matched unit j sits in arm 1 - W_i, so mu(X_j, 1 - W_i) is j's own-arm mean.
+    """
+    mu_own = np.where(data.w == 1, mu1, mu0)
+    return np.where(data.w == 1, mu0, mu1), mu_own[matches.matched_sets].mean(axis=1)
 
 
 def k_pi_counts(matches: MatchResult, assignments: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,11 +86,14 @@ class OutcomeModel:
     def n_expanded(self) -> int:
         return self.coef0.shape[0] - 1
 
+    def __call__(self, x: np.ndarray, w: int) -> np.ndarray:
+        """A fitted model is itself a mean function mu(x, w)."""
+        return predict_matrix(self, x, w)
+
 
 def predict_matrix(model: OutcomeModel, x: np.ndarray, w: int) -> np.ndarray:
     """Arm-w predictions for every row of x."""
     w = _check_choice("w", w, (0, 1))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     features = expand_features(x, model.expansion)
     if features.shape[1] != model.n_expanded:
         raise ValueError(
@@ -98,6 +102,19 @@ def predict_matrix(model: OutcomeModel, x: np.ndarray, w: int) -> np.ndarray:
         )
     coef = model.coef1 if w == 1 else model.coef0
     return coef[0] + features @ coef[1:]
+
+
+def _arm_means(mu: Callable[[np.ndarray, int], np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """[mu(x, 0), mu(x, 1)]: a mean function takes the (n, p) matrix, returns one value per row."""
+    arms = []
+    for w in (0, 1):
+        arms.append(np.asarray(mu(x, w), dtype=float))
+        if arms[w].shape != (x.shape[0],):
+            raise ValueError(
+                f"mean function must return {x.shape[0]} values for arm {w}, "
+                f"got shape {arms[w].shape}"
+            )
+    return arms
 
 
 def _arm_views(data: ObservationalDataset) -> list[tuple[np.ndarray, np.ndarray]]:

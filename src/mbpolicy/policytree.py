@@ -207,11 +207,16 @@ class TreePolicy:
                 leaves[node - n_internal] = int(leaf.group(1))
                 return cursor + 1
             split = expect(cursor, r"if x\[(\d{1,18})\](?: \(.*\))? <= (.+):", "split")
+            number = lines[cursor][0]
             features[node] = int(split.group(1))
+            if features[node] not in eligible:
+                raise ValueError(f"line {number}: split feature {features[node]} is not eligible")
             try:
                 thresholds[node] = float(split.group(2))
             except ValueError:
-                raise ValueError(f"line {lines[cursor][0]}: bad threshold in split") from None
+                thresholds[node] = np.nan
+            if np.isnan(thresholds[node]):
+                raise ValueError(f"line {number}: bad threshold in split")
             cursor = parse(2 * node + 1, level + 1, cursor + 1)
             expect(cursor, "else:", "'else:'")
             return parse(2 * node + 2, level + 1, cursor + 1)

@@ -28,12 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .advantage import aipw_scores
+from .advantage import _signed, aipw_scores
 from .dataset import (
     ObservationalDataset, _check_assignments, _check_choice, _check_int, _freeze, write_csv,
 )
 from .evaluation import fit_linear_probability
-from .outcome_models import fit_ols_per_arm, predict_matrix
+from .outcome_models import fit_ols_per_arm
 from .policytree import LearnConfig, TreePolicy, evaluate_policy, learn_policy, search_tree
 from .seeding import _SEED_HIGH, derive_seed, philox_rng
 
@@ -212,7 +212,7 @@ def true_advantage(
     mc_draws = _check_int("mc_draws", mc_draws, 2)  # two for a standard error
     rng = philox_rng(seed)
     x = rng.standard_normal((mc_draws, N_FEATURES))
-    signs = 2.0 * evaluate_policy(policy, x) - 1.0
+    signs = _signed(evaluate_policy(policy, x), mc_draws)
     vals = signs * _contrast(spec.contrast, x)
     return MonteCarloEstimate(
         value=float(vals.mean()),
@@ -233,8 +233,7 @@ def learn_with_method(
     _check_methods([method])
     if method == "aipw-tree":
         e_hat = fit_linear_probability(data)
-        mu_hat = partial(predict_matrix, fit_ols_per_arm(data, "quadratic"))
-        scores = aipw_scores(data, e_hat, mu_hat)
+        scores = aipw_scores(data, e_hat, fit_ols_per_arm(data, "quadratic"))
         tree = search_tree(data.x, scores.gamma, depth, data.eligible_features)
         return replace(tree, feature_names=data.feature_names)
     config = replace(METHODS[method], depth=depth, seed=seed)

@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,20 @@ from mbpolicy import (
     advantage_estimate,
     advantage_linear_form,
     aipw_scores,
+    aipw_value_estimate,
+    cross_validate,
     decompose_advantage,
     estimate_conditional_bias,
+    fit_linear_probability,
     fit_mahalanobis,
     fit_ols_per_arm,
     impute_bias_corrected,
     impute_raw,
     match_units,
+    predict_matrix,
+    search_tree,
 )
+from mbpolicy.advantage import PROPENSITY_CLIP
 from mbpolicy.outcome_models import OutcomeModel
 
 from _oracles import random_dataset, random_tree
@@ -279,3 +288,108 @@ class TestAipwScores:
                 data, match_units(data, fit_mahalanobis(data.x), 1),
                 np.ones(12, dtype=int), lambda pts, arm: pts * arm,
             )
+
+
+def stump_learner(train):
+    return search_tree(train.x, 2.0 * train.y * (2.0 * train.w - 1.0), depth=1)
+
+
+class TestMeanFunctions:
+    """A fitted OutcomeModel is itself a mean function, and every estimator checks one alike."""
+
+    def draw(self, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, 40, 3, min_arm=8)
+        return rng, data, fit_ols_per_arm(data, "quadratic")
+
+    def test_calling_a_model_is_predict_matrix(self):
+        _, data, model = self.draw(71)
+        for w in (0, 1):
+            assert model(data.x, w).tobytes() == predict_matrix(model, data.x, w).tobytes()
+
+    def test_model_and_partial_adapter_give_equal_bytes(self):
+        rng, data, model = self.draw(72)
+        adapter = partial(predict_matrix, model)
+        e_hat = rng.uniform(0.0, 1.0, data.n)
+        pi = random_assignments(rng, data)
+        direct, adapted = aipw_scores(data, e_hat, model), aipw_scores(data, e_hat, adapter)
+        assert direct.gamma.tobytes() == adapted.gamma.tobytes()
+        assert direct.e_hat.tobytes() == adapted.e_hat.tobytes()
+        assert direct.n_clipped == adapted.n_clipped
+        values = [np.float64(aipw_value_estimate(data, pi, e_hat, mu)) for mu in (model, adapter)]
+        assert values[0].tobytes() == values[1].tobytes()
+        reports = [
+            cross_validate(data, stump_learner, folds=3, repeats=2, seed=3, mu_hat=mu)
+            for mu in (model, adapter)
+        ]
+        assert reports[0].values.tobytes() == reports[1].values.tobytes()
+        matches = match_units(data, fit_mahalanobis(data.x), 5)
+        assert (
+            impute_bias_corrected(data, matches, model).gamma.tobytes()
+            == impute_bias_corrected(data, matches, adapter).gamma.tobytes()
+        )
+
+    @pytest.mark.parametrize("mu, arm, shape", [
+        (lambda pts, arm: np.zeros((len(pts), 2)), 0, "(40, 2)"),
+        (lambda pts, arm: np.zeros(len(pts) + arm), 1, "(41,)"),
+    ], ids=["both-arms", "arm-1"])
+    def test_wrong_shape_is_one_error_everywhere(self, mu, arm, shape):
+        rng, data, _ = self.draw(73)
+        pi = random_assignments(rng, data)
+        e_hat = np.full(data.n, 0.5)
+        matches = match_units(data, fit_mahalanobis(data.x), 1)
+        message = f"mean function must return 40 values for arm {arm}, got shape {shape}"
+        for call in (
+            lambda: decompose_advantage(data, matches, pi, mu),
+            lambda: estimate_conditional_bias(data, matches, pi, mu),
+            lambda: impute_bias_corrected(data, matches, mu),
+            lambda: aipw_scores(data, e_hat, mu),
+            lambda: aipw_value_estimate(data, pi, e_hat, mu),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_wrong_shape_is_a_recorded_fold_failure(self):
+        _, data, _ = self.draw(74)
+        report = cross_validate(
+            data, stump_learner, folds=3, repeats=1, seed=0,
+            mu_hat=lambda pts, arm: np.zeros((len(pts), 2)),
+        )
+        assert report.n_failed_repeats == 1 and len(report.failures) == 3
+        for k, failure in enumerate(report.failures):
+            pattern = (
+                f"repeat 0 fold {k}: ValueError: "
+                r"mean function must return (\d+) values for arm 0, got shape \(\1, 2\)"
+            )
+            assert re.fullmatch(pattern, failure), failure
+
+    def test_conditional_bias_is_the_decomposition_term_of_the_model(self):
+        rng, data, model = self.draw(75)
+        pi = random_assignments(rng, data)
+        for m in (1, 5):
+            matches = match_units(data, fit_mahalanobis(data.x), m)
+            bias = estimate_conditional_bias(data, matches, pi, model)
+            assert bias == decompose_advantage(data, matches, pi, model).b_m
+
+
+class TestOnePropensityClip:
+    def test_every_plug_in_propensity_is_clipped_alike(self):
+        rng = np.random.default_rng(76)
+        data = random_dataset(rng, 40, 2, min_arm=8)
+        e = rng.uniform(0.0, 1.0, data.n)
+        e[:4] = [0.0, 0.004, 0.996, 1.0]
+        clipped = np.clip(e, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+        assert clipped.min() == 0.01 and clipped.max() == 0.99
+        scores = aipw_scores(data, e, lambda pts, arm: np.zeros(len(pts)))
+        assert scores.e_hat.tobytes() == clipped.tobytes() and scores.n_clipped == 4
+        pi = random_assignments(rng, data)
+        mu = lambda pts, arm: pts[:, 0] + arm
+        assert aipw_value_estimate(data, pi, e, mu) == aipw_value_estimate(data, pi, clipped, mu)
+
+    def test_linear_probability_fit_is_clipped_into_the_same_range(self):
+        # a covariate that separates the arms drives the linear fit past 0 and 1
+        x = np.linspace(-1.0, 1.0, 40)[:, None]
+        w = (x[:, 0] > 0).astype(np.int64)
+        data = ObservationalDataset(x=x, w=w, y=np.zeros(40), feature_names=("a",))
+        e = fit_linear_probability(data)
+        assert e.min() == PROPENSITY_CLIP and e.max() == 1.0 - PROPENSITY_CLIP

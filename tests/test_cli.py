@@ -1,16 +1,21 @@
 import csv
 import hashlib
 import json
+import re
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mbpolicy import (
     CsvSchema,
     TreePolicy,
     aipw_value_estimate,
     arm_proportion_propensity,
+    evaluate_policy,
     fit_ols_per_arm,
     load_csv,
     predict_matrix,
@@ -520,7 +525,7 @@ class TestPolicyFileErrors:
     """Reading or parsing a policy file fails with an error that names the file."""
 
     @pytest.mark.parametrize("name,content,detail", [
-        ("p.txt", b"policy depth=1\neligible: 0\n\xff", "can't decode byte 0xff"),
+        ("p.txt", b"policy depth=1\neligible: 0\n\xff", "line 3: not valid UTF-8"),
         ("p.json", b'{"depth": 1, ', "Expecting property name"),
         ("p.txt", b"policy depth=1\neligible: 0\nif x[0] <= 1.0\n", "line 3: expected split"),
     ], ids=["invalid-utf8", "bad-json", "bad-text-line"])
@@ -532,3 +537,192 @@ class TestPolicyFileErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {policy}: ") and detail in err, err
+
+
+class TestOversizeField:
+    @pytest.mark.parametrize("command", [["learn"], ["balance"]], ids=["learn", "balance"])
+    def test_exits_1_naming_file_and_line(self, tmp_path, capsys, command):
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"treat,re78,a\n1,5.0,0\n0,4.0," + b"1" * 200_000 + b"\n")
+        out = tmp_path / "out"
+        assert main([*command, "--data", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {path}: line 3: field larger than field limit (131072)"]
+        assert not out.exists() or not any(out.iterdir())
+
+
+def evaluate_policy_file(eval_csv, policy, out, *flags):
+    """evaluate --policy on eval_csv; the exit code and evaluation.json (None if not written)."""
+    code = main(["evaluate", "--data", str(eval_csv), "--policy", str(policy),
+                 "--out", str(out), *flags])
+    written = out / "evaluation.json"
+    return code, json.loads(written.read_text()) if written.exists() else None
+
+
+class TestPolicyFileForms:
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_bom_prefixed_policy_reads_as_without(self, eval_csv, tmp_path, suffix):
+        tree = TreePolicy(
+            depth=1, features=np.array([1]), thresholds=np.array([0.25]),
+            leaf_actions=np.array([0, 1]), eligible_features=(0, 1), feature_names=("a", "b"),
+        )
+        text = tree.to_text() if suffix == "txt" else tree.to_json()
+        plain, bom = tmp_path / f"plain.{suffix}", tmp_path / f"bom.{suffix}"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code_plain, plain_json = evaluate_policy_file(eval_csv, plain, tmp_path / "a")
+        code_bom, bom_json = evaluate_policy_file(eval_csv, bom, tmp_path / "b")
+        assert code_plain == code_bom == 0
+        assert plain_json["value"] == bom_json["value"]
+        assert plain_json["n_treated_by_policy"] == bom_json["n_treated_by_policy"]
+
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_split_feature_past_the_data_names_the_file(self, eval_csv, tmp_path, capsys, suffix):
+        tree = TreePolicy(
+            depth=1, features=np.array([7]), thresholds=np.array([0.0]),
+            leaf_actions=np.array([0, 1]), eligible_features=(0, 7),
+        )
+        policy = tmp_path / f"wide.{suffix}"
+        policy.write_text(tree.to_text() if suffix == "txt" else tree.to_json())
+        out = tmp_path / "out"
+        code, _ = evaluate_policy_file(eval_csv, policy, out, "--covariates", "a")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {policy}: policy splits on feature 7, but the data has 1 covariate(s)"
+        ]
+        assert not out.exists() or not any(out.iterdir())  # no manifest either
+
+
+DATA_NAMES = ("a", "b")  # eval_csv's covariates, in column order
+JSON_KEYS = ("depth", "features", "thresholds", "leaf_actions", "eligible_features",
+             "feature_names")
+BAD_BYTES = (b"\xff", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80")
+
+
+@st.composite
+def policy_files(draw):
+    """(bytes, suffix, line holding an invalid UTF-8 byte or None) of a corrupted policy file.
+
+    The tree may split on a feature past eval_csv's two covariates; then the
+    file is well formed but does not fit the data.
+    """
+    depth = draw(st.integers(1, 2))
+    p = draw(st.integers(2, 3))
+    eligible = sorted(draw(st.sets(st.integers(0, p - 1), min_size=1)))
+    n_internal = 2**depth - 1
+    tree = TreePolicy(
+        depth=depth,
+        features=np.array(draw(st.lists(st.sampled_from(eligible), min_size=n_internal,
+                                        max_size=n_internal))),
+        thresholds=np.array(draw(st.lists(
+            st.one_of(st.floats(-3.0, 3.0), st.sampled_from([np.inf, -np.inf])),
+            min_size=n_internal, max_size=n_internal,
+        ))),
+        leaf_actions=np.array(draw(st.lists(st.integers(0, 1), min_size=n_internal + 1,
+                                            max_size=n_internal + 1))),
+        eligible_features=tuple(eligible),
+        feature_names=draw(st.sampled_from([None, ("a", "b", "c")[:p]])),
+    )
+    suffix = draw(st.sampled_from(["txt", "json"]))
+    kinds = ["none", "truncate", "drop_line", "duplicate_line", "bad_threshold",
+             "feature_out_of_range", "invalid_utf8"]
+    if suffix == "json":
+        kinds += ["json_bool", "json_missing_key"]
+    kind = draw(st.sampled_from(kinds))
+    node = draw(st.integers(0, n_internal - 1))
+    big = draw(st.sampled_from([2, 3, 7, 10**18 - 1]))  # past eval_csv's columns
+    if suffix == "json":
+        payload = json.loads(tree.to_json())
+        if kind == "bad_threshold":
+            payload["thresholds"][node] = draw(st.sampled_from(["abc", "nan", float("nan")]))
+        elif kind == "feature_out_of_range":
+            payload["features"][node] = big
+        elif kind == "json_bool":
+            key = draw(st.sampled_from(["depth", "features", "leaf_actions", "eligible_features"]))
+            if key == "depth":
+                payload[key] = draw(st.booleans())
+            else:
+                payload[key][0] = draw(st.booleans())
+        elif kind == "json_missing_key":
+            del payload[draw(st.sampled_from(JSON_KEYS))]
+        text = json.dumps(payload, indent=2)
+    else:
+        text = tree.to_text()
+        splits = [k for k, line in enumerate(text.splitlines()) if line.lstrip().startswith("if ")]
+        lines = text.splitlines()
+        k = splits[node]
+        if kind == "bad_threshold":
+            head = lines[k].rsplit(" <= ", 1)[0]
+            lines[k] = f"{head} <= {draw(st.sampled_from(['abc', 'nan', 'NaN', '-nan']))}:"
+        elif kind == "feature_out_of_range":
+            lines[k] = re.sub(r"x\[\d+\]", f"x[{big}]", lines[k], count=1)
+        text = "\n".join(lines) + "\n"
+    lines = text.encode().split(b"\n")
+    line = draw(st.integers(0, len(lines) - 1))
+    bad_line = None
+    if kind == "truncate":
+        return text.encode()[: draw(st.integers(0, len(text) - 1))], suffix, None
+    if kind == "drop_line":
+        del lines[line]
+    elif kind == "duplicate_line":
+        lines.insert(line, lines[line])
+    elif kind == "invalid_utf8":
+        at = draw(st.integers(0, len(lines[line])))
+        lines[line] = lines[line][:at] + draw(st.sampled_from(BAD_BYTES)) + lines[line][at:]
+        bad_line = line + 1
+    return b"\n".join(lines), suffix, bad_line
+
+
+def names_where(message, suffix):
+    """Whether a parse error names a line (text form, or any JSON syntax error) or a JSON key."""
+    if re.search(r"\bline \d+\b", message):
+        return True
+    return suffix == "json" and any(re.search(rf"\b{key}\b", message) for key in JSON_KEYS)
+
+
+class TestPolicyFileBoundary:
+    """evaluate --policy runs exactly the tree the file parses to, or fails naming where."""
+
+    @settings(
+        deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(policy_files())
+    def test_evaluates_the_parsed_tree_or_names_the_fault(self, eval_csv, capsys, case):
+        raw, suffix, bad_line = case
+        with tempfile.TemporaryDirectory() as work:
+            policy, out = Path(work) / f"policy.{suffix}", Path(work) / "out"
+            policy.write_bytes(raw)
+            capsys.readouterr()
+            code, written = evaluate_policy_file(eval_csv, policy, out)
+            err = capsys.readouterr().err
+            left = sorted(path.name for path in out.iterdir()) if out.exists() else []
+        parse = TreePolicy.from_json if suffix == "json" else TreePolicy.from_text
+        try:
+            tree = parse(raw.decode("utf-8"))  # no case adds a BOM
+            problem = None
+        except UnicodeDecodeError:
+            problem = f"line {bad_line}: not valid UTF-8 ("
+        except ValueError as exc:
+            problem = str(exc)
+            assert names_where(problem, suffix), problem
+        if problem is None:
+            used = sorted(set(tree.features.tolist()))
+            fits = used[-1] < len(DATA_NAMES) and (
+                tree.feature_names is None
+                or all(tree.feature_names[j] == DATA_NAMES[j] for j in used)
+            )
+            if not fits:
+                problem = "policy splits on feature "
+        if problem is not None:
+            assert code == 1 and written is None and left == []
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {policy}: {problem}"), lines
+            return
+        assert code == 0, err
+        data = load_csv(eval_csv, CsvSchema("treat", "re78", ()))
+        assignments = evaluate_policy(tree, data.x)
+        expected = aipw_value_estimate(
+            data, assignments, arm_proportion_propensity(data), fit_ols_per_arm(data, "quadratic")
+        )
+        assert written["value"] == expected
+        assert written["n_treated_by_policy"] == int(assignments.sum())

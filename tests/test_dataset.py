@@ -152,6 +152,16 @@ class TestLoadCsv:
         ):
             load_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize("line", [1, 2, 3])
+    def test_oversize_field_names_file_and_line(self, tmp_path, line):
+        lines = ["w,y,a,b", "1,5.0,0,10", "0,4.0,1,11"]
+        lines[line - 1] += "0" * 200_000  # past the csv module's field size limit
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: line {line}: field larger than field limit \\(\\d+\\)$"
+        )):
+            load_csv(path, SCHEMA)
+
 
 COLUMNS = ("w", "y", "a", "b", "c")  # "c" has no role in BOUNDARY_SCHEMA, so it is never parsed
 BOUNDARY_SCHEMA = CsvSchema(treatment="w", outcome="y", covariates=("a", "b"))
@@ -262,7 +272,7 @@ class TestCsvBoundary:
         try:
             expected = reference_parse(raw)
         except csv.Error as exc:  # csv.reader before Python 3.11 rejects a NUL byte
-            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+            with pytest.raises(ValueError, match=f"^{where}: line \\d+: {re.escape(str(exc))}$"):
                 load_csv(path, BOUNDARY_SCHEMA)
             return
         if expected[0] == "ok":

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -234,6 +235,16 @@ class TestTreePolicyType:
     )
     def test_malformed_text_names_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
+            TreePolicy.from_text(text)
+
+    @pytest.mark.parametrize("split, message", [
+        ("if x[0] <= nan:", "line 3: bad threshold in split"),
+        ("if x[0] <= -NaN:", "line 3: bad threshold in split"),
+        ("if x[7] <= 1.0:", "line 3: split feature 7 is not eligible"),
+    ], ids=["nan", "signed-nan", "ineligible-feature"])
+    def test_split_the_tree_would_reject_names_the_line(self, split, message):
+        text = f"policy depth=1\neligible: 0, 1\n{split}\n  action 0\nelse:\n  action 1\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TreePolicy.from_text(text)
 
     @pytest.mark.parametrize(
