@@ -19,14 +19,18 @@ It runs, in this order:
 - per stage: `match_units` (m=5), depth-2 `search_tree` on raw m=5
   matching gamma and `fit_lasso_per_arm` with its defaults, on
   `generate(SimulationSpec(1, "linear", "tree", n, seed=1010))` for n in
-  200, 500, 1000, 2000, and `match_units` (m=5) on a study-shaped fold: the
-  356 rows (every row but each fifth) of bench/nsw_shaped.py's seed-0 file
-  with all eight covariates, and `load_csv` of that whole 445-row file with
-  every other column a covariate; one process per run, alternating sides,
-  each timing one warm-up and three calls per stage and n (101 for
-  `load_csv`, which takes milliseconds) and keeping their median; the
-  digests of the outputs (matched sets and distances, tree, lasso
-  coefficients and penalties, loaded x, w and y) must agree between sides;
+  200, 500, 1000, 2000; on a study-shaped fold, the 356 rows (every row but
+  each fifth) of bench/nsw_shaped.py's seed-0 file with all eight
+  covariates, `match_units` (m=5) and depth-2 `search_tree` with black and
+  hispanic barred from splits and gamma from `impute_scores(fold,
+  LearnConfig(m=5, correction="ols"))`; `fit_lasso_per_arm` on all 445 rows
+  of that file with all eight covariates; and `load_csv` of the whole file
+  with every other column a covariate; one process per run, alternating
+  sides, each timing one warm-up and three calls per stage and n (101 for
+  the study search and `load_csv`, which take milliseconds) and keeping
+  their median; the digests of the outputs (matched sets and distances,
+  tree JSON, lasso coefficients and penalties, loaded x, w and y) must agree
+  between sides;
 - `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
 
@@ -56,7 +60,8 @@ STAGES = ("match", "search", "lasso")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
 # Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "study_match": s,
-# "study_load": s, "digest": {n: sha, "study_match": sha, "study_load": sha}}.
+# "study_search": s, "lasso_study8": s, "study_load": s, "digest": {n: sha, and a sha
+# for each study stage}}.
 STAGE_CODE = """
 import hashlib, json, pathlib, statistics, sys, tempfile, time
 import numpy as np
@@ -101,6 +106,23 @@ metric = fit_mahalanobis(fold.x)
 out["study_match"], matches = timed(lambda: match_units(fold, metric, 5))
 digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
 out["digest"]["study_match"] = digest.hexdigest()
+
+study = fold.excluding_from_policy(["black", "hispanic"])
+gamma = impute_scores(study, LearnConfig(m=5, correction="ols")).gamma
+out["study_search"], tree = timed(
+    lambda: search_tree(study.x, gamma, 2, study.eligible_features), calls=101
+)
+out["digest"]["study_search"] = hashlib.sha256(tree.to_json().encode()).hexdigest()
+
+all_rows = nsw_shaped.generate_rows(0)
+study8 = ObservationalDataset(
+    x=all_rows[:, 1:9], w=all_rows[:, 0].astype(np.int64), y=all_rows[:, 9],
+    feature_names=nsw_shaped.HEADER[1:9],
+)
+out["lasso_study8"], model = timed(lambda: fit_lasso_per_arm(study8))
+digest = hashlib.sha256(model.coef0.tobytes() + model.coef1.tobytes())
+digest.update(repr((model.lambda0, model.lambda1)).encode())
+out["digest"]["lasso_study8"] = digest.hexdigest()
 
 with tempfile.TemporaryDirectory() as tmp:
     path = nsw_shaped.write_csv(pathlib.Path(tmp) / "s.csv", 0)
@@ -217,6 +239,10 @@ def stages(sides: dict) -> dict:
     fixtures = {
         "study_match": "match_units(fold, fit_mahalanobis(fold.x), 5) on the 356 rows of "
         "bench/nsw_shaped.py's seed-0 file whose index is not a multiple of 5, eight covariates",
+        "study_search": "search_tree(fold.x, gamma, 2, eligible) on that fold with black and "
+        "hispanic barred from splits, gamma from impute_scores(fold, LearnConfig(m=5, "
+        "correction='ols')); median of 101 calls",
+        "lasso_study8": "fit_lasso_per_arm(data) on all 445 rows of that file, eight covariates",
         "study_load": "load_csv(path, CsvSchema('treat', 're78', ())) on "
         "nsw_shaped.write_csv(path, 0), 445 rows; median of 101 calls",
     }

@@ -25,9 +25,10 @@ Two commits that print the same digest give byte-identical outputs on:
   `learn --correction lasso --m 5 --depth 2 --covariates
   age,education,re74,re75` on the same file;
 - the `outputs.sha256` of `evaluate --policy` on that file, for the policies
-  `treat-all` and the learned `learn/policy.txt` (named relative to the work
-  directory, as evaluation.json records it as typed) under each
-  `--propensity`, and of `balance`.
+  `treat-all` and the learned `learn/policy.txt` under each `--propensity`,
+  and of `balance`. evaluation.json records a policy file by the sha256 of
+  its bytes; the file is still named relative to the work directory, because
+  older commits record the path as typed.
 
 Unlike the benchmark's "(deterministic)" lines, the digest does not depend
 on how many ops a timed run completes. --verbose also prints each item's
@@ -134,7 +135,7 @@ def items(root: Path):
         yield "learn", checksums(argv, Path(work) / "learn")
         data_flags = ["--data", str(path), "--covariates", LEARN_COVARIATES]
         here = os.getcwd()
-        os.chdir(work)  # the learned policy goes by a name that is the same on every run
+        os.chdir(work)  # the learned policy goes by the same name on every run and commit
         try:
             for propensity, policy in itertools.product(PROPENSITIES, POLICIES):
                 argv = ["evaluate", *data_flags, "--policy", policy, "--propensity", propensity]

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .dataset import CsvSchema, _read_text, load_csv, normalized_differences, write_csv
@@ -98,28 +98,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_manifest(
-    out: Path, command: str, parameters: dict, inputs: dict[str, Path]
-) -> None:
+def _start(args: argparse.Namespace, parameters: dict, inputs: dict[str, Path]) -> Path:
+    """Make the output dir and write its manifest.json, before any computation."""
+    out = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
         "inputs": {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in inputs.items()
         },
     })
+    return out
 
 
 def _write_checksums(out: Path, names: list[str]) -> None:
@@ -131,19 +127,15 @@ def _split_csv_flag(flag_value: str) -> list[str]:
     return [item.strip() for item in flag_value.split(",") if item.strip()]
 
 
-def _load_dataset(args: argparse.Namespace):
+def _load_dataset(args: argparse.Namespace) -> tuple:
+    """The data flags' dataset, with the manifest parameters and inputs they resolve to."""
     path = Path(args.data)
     schema = CsvSchema(args.treatment_col, args.outcome_col, _split_csv_flag(args.covariates))
     data = load_csv(path, schema)
     if args.exclude:
         data = data.excluding_from_policy(_split_csv_flag(args.exclude))
-    return data, path
-
-
-def _data_parameters(args: argparse.Namespace, data) -> dict:
-    """Manifest entries for the data flags shared by learn, evaluate and balance."""
     eligible = data.eligible_features or range(data.p)
-    return {
+    parameters = {
         "treatment_col": args.treatment_col,
         "outcome_col": args.outcome_col,
         "covariates": list(data.feature_names),
@@ -151,6 +143,7 @@ def _data_parameters(args: argparse.Namespace, data) -> dict:
             name for j, name in enumerate(data.feature_names) if j not in eligible
         ),
     }
+    return data, parameters, {"data": path}
 
 
 def _resolve_policy(
@@ -185,13 +178,18 @@ def _resolve_policy(
     return tree, {"policy": path}
 
 
-def _write_grid(
-    out: Path, args: argparse.Namespace, settings: list, methods: list[str], reps: int, depth: int
+def _run_grid(
+    args: argparse.Namespace, parameters: dict, settings: list, methods: list[str], reps: int,
+    depth: int,
 ) -> tuple[list, int]:
-    """Run the grid and write results, summary and timings; checksums skip the timings.
+    """Write the manifest, run the grid and write results, summary and timings.
 
-    Returns the rows and the exit code, a runtime failure when every row failed.
+    The manifest holds the parsed flags, less the output dir, and parameters;
+    the checksums skip the timings. Returns the rows and the exit code, a
+    runtime failure when every row failed.
     """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "method")}
+    out = _start(args, {**flags, **parameters}, {})
     rows = run_experiment(
         settings, methods, reps, seed=args.seed, test_n=args.test_n, depth=depth,
         threads=args.threads,
@@ -203,14 +201,6 @@ def _write_grid(
     return rows, EXIT_RUNTIME if all(row.error for row in rows) else EXIT_OK
 
 
-def _grid_parameters(args: argparse.Namespace) -> dict:
-    """Manifest entries of a grid command: its parsed flags, less the output dir."""
-    return {
-        key: value for key, value in vars(args).items()
-        if key not in ("command", "func", "out", "method")
-    }
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     methods = _split_csv_flag(args.method)
     try:
@@ -218,10 +208,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --method {args.method!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args)
-    _write_manifest(out, "simulate", {**_grid_parameters(args), "methods": methods}, inputs={})
     settings = [SimulationSpec(args.scenario, args.main, args.contrast, args.n)]
-    rows, code = _write_grid(out, args, settings, methods, args.reps, args.depth)
+    rows, code = _run_grid(args, {"methods": methods}, settings, methods, args.reps, args.depth)
     for summary in summarize_results(rows):
         print(
             f"{summary['method']}: mean value {summary['mean_value']:.4f} "
@@ -235,30 +223,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_replicate(args: argparse.Namespace) -> int:
     budget = BUDGETS[args.budget]
-    out = _out_dir(args)
-    _write_manifest(out, "replicate", {**_grid_parameters(args), **budget}, inputs={})
     axes = ("scenarios", "mains", "contrasts", "sizes")  # in SimulationSpec's order
     designs = itertools.product(*(budget[axis] for axis in axes))
     settings = [SimulationSpec(*design) for design in designs]
-    rows, code = _write_grid(out, args, settings, list(budget["methods"]), budget["reps"], depth=2)
+    rows, code = _run_grid(args, budget, settings, list(budget["methods"]), budget["reps"], depth=2)
     n_failed = sum(1 for row in rows if row.error)
     print(f"{len(rows)} replicate rows written, {n_failed} failed")
     return code
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    data, path = _load_dataset(args)
-    out = _out_dir(args)
-    config = LearnConfig(
-        m=args.m,
-        correction=args.correction,
-        depth=args.depth,
-        lasso_folds=args.lasso_folds,
-        seed=args.seed,
-    )
-    _write_manifest(
-        out, "learn", {**asdict(config), **_data_parameters(args, data)}, inputs={"data": path}
-    )
+    data, parameters, inputs = _load_dataset(args)
+    config = LearnConfig(**{f.name: getattr(args, f.name) for f in fields(LearnConfig)})
+    out = _start(args, {**asdict(config), **parameters}, inputs)
     imputed = impute_scores(data, config)
     tree = learn_policy(data, config, imputed=imputed)
     (out / "policy.txt").write_text(tree.to_text(), encoding="utf-8")
@@ -275,22 +252,22 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    data, path = _load_dataset(args)
-    out = _out_dir(args)
+    data, parameters, inputs = _load_dataset(args)
+    parameters.update(propensity=args.propensity, seed=args.seed, cv=args.cv)
+    if args.cv:
+        parameters.update(method=args.method, folds=args.folds, repeats=args.repeats,
+                          depth=args.depth)
+    else:  # a missing or bad policy file writes no manifest
+        tree, policy_inputs = _resolve_policy(args.policy, data.feature_names)
+        parameters.update(policy=args.policy)
+        inputs.update(policy_inputs)
+    out = _start(args, parameters, inputs)
     e_hat = (
         fit_linear_probability(data)
         if args.propensity == "linear"
         else arm_proportion_propensity(data)
     )
-    parameters = {
-        "propensity": args.propensity,
-        "seed": args.seed,
-        **_data_parameters(args, data),
-    }
     if args.cv:
-        parameters.update(cv=True, method=args.method, folds=args.folds,
-                          repeats=args.repeats, depth=args.depth)
-        _write_manifest(out, "evaluate", parameters, inputs={"data": path})
         report = cross_validate(
             data,
             lambda train: learn_with_method(train, args.method, args.seed, args.depth),
@@ -321,13 +298,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if report.n_failed_repeats == report.repeats:
                 return EXIT_RUNTIME
         return EXIT_OK
-    parameters.update(cv=False, policy=args.policy)
-    tree, policy_inputs = _resolve_policy(args.policy, data.feature_names)
-    _write_manifest(out, "evaluate", parameters, inputs={"data": path, **policy_inputs})
     assignments = evaluate_policy(tree, data.x)
     value = aipw_value_estimate(data, assignments, e_hat, fit_ols_per_arm(data, "quadratic"))
+    # a file policy by its content, so the result does not depend on how its path is spelt
+    policy = f"sha256:{_sha256(inputs['policy'])}" if "policy" in inputs else args.policy
     _write_json(out / "evaluation.json", {
-        "policy": args.policy, "value": value, "n_treated_by_policy": int(assignments.sum())
+        "policy": policy, "value": value, "n_treated_by_policy": int(assignments.sum())
     })
     _write_checksums(out, ["evaluation.json"])
     print(f"estimated value under policy {args.policy!r}: {value:.1f}")
@@ -335,9 +311,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_balance(args: argparse.Namespace) -> int:
-    data, path = _load_dataset(args)
-    out = _out_dir(args)
-    _write_manifest(out, "balance", _data_parameters(args, data), inputs={"data": path})
+    data, parameters, inputs = _load_dataset(args)
+    out = _start(args, parameters, inputs)
     report = normalized_differences(data)
     report.to_csv(out / "balance.csv")
     _write_checksums(out, ["balance.csv"])
@@ -347,27 +322,6 @@ def cmd_balance(args: argparse.Namespace) -> int:
         print(f"{name:<{width}}  {diff:+.3f}")
     print(f"(control n={report.n_control}, treated n={report.n_treated})")
     return EXIT_OK
-
-
-def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", required=True, help="input CSV file")
-    sub.add_argument(
-        "--treatment-col", default="treat", help="binary treatment column (default: treat)"
-    )
-    sub.add_argument(
-        "--outcome-col", default="re78", help="outcome column (default: re78)"
-    )
-    sub.add_argument(
-        "--covariates",
-        default="",
-        help="comma-separated covariate columns (default: all other columns)",
-    )
-    sub.add_argument(
-        "--exclude",
-        default="",
-        help="comma-separated covariates barred from policy splits "
-        "(still used for matching and evaluation)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +334,36 @@ def build_parser() -> argparse.ArgumentParser:
     learn_defaults = LearnConfig()
     non_negative, positive, at_least_two = _int_at_least(0), _int_at_least(1), _int_at_least(2)
 
-    sim = sub.add_parser("simulate", help="replicated simulation runs on one setting")
+    # the flags shared between commands, as parents of their parsers
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default="", help=f"output dir (or ${OUT_DIR_ENV})")
+    grid = argparse.ArgumentParser(add_help=False, parents=[common])
+    grid.add_argument("--seed", type=int, default=0)
+    grid.add_argument("--test-n", type=positive, default=DEFAULT_TEST_N)
+    grid.add_argument("--threads", type=positive, default=1)
+    data = argparse.ArgumentParser(add_help=False, parents=[common])
+    data.add_argument("--data", required=True, help="input CSV file")
+    data.add_argument(
+        "--treatment-col", default="treat", help="binary treatment column (default: treat)"
+    )
+    data.add_argument(
+        "--outcome-col", default="re78", help="outcome column (default: re78)"
+    )
+    data.add_argument(
+        "--covariates",
+        default="",
+        help="comma-separated covariate columns (default: all other columns)",
+    )
+    data.add_argument(
+        "--exclude",
+        default="",
+        help="comma-separated covariates barred from policy splits "
+        "(still used for matching and evaluation)",
+    )
+
+    sim = sub.add_parser(
+        "simulate", parents=[grid], help="replicated simulation runs on one setting"
+    )
     sim.add_argument("--scenario", type=int, choices=SCENARIOS, required=True)
     sim.add_argument("--main", choices=MAIN_EFFECTS, required=True)
     sim.add_argument("--contrast", choices=CONTRASTS, required=True)
@@ -391,33 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated methods from {sorted(METHODS)}",
     )
     sim.add_argument("--reps", type=positive, default=50)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--test-n", type=positive, default=DEFAULT_TEST_N)
     sim.add_argument("--depth", type=int, choices=depths, default=2)
-    sim.add_argument("--threads", type=positive, default=1)
-    sim.add_argument("--out", default="", help=f"output dir (or ${OUT_DIR_ENV})")
     sim.set_defaults(func=cmd_simulate)
 
-    rep = sub.add_parser("replicate", help="bundled simulation grids")
+    rep = sub.add_parser("replicate", parents=[grid], help="bundled simulation grids")
     rep.add_argument("--budget", choices=sorted(BUDGETS), default="desk")
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--test-n", type=positive, default=DEFAULT_TEST_N)
-    rep.add_argument("--threads", type=positive, default=1)
-    rep.add_argument("--out", default="")
     rep.set_defaults(func=cmd_replicate)
 
-    learn = sub.add_parser("learn", help="learn a tree policy from a CSV")
-    _add_data_flags(learn)
+    learn = sub.add_parser("learn", parents=[data], help="learn a tree policy from a CSV")
     learn.add_argument("--m", type=positive, default=learn_defaults.m, help="matches per unit")
     learn.add_argument("--correction", choices=CORRECTIONS, default=learn_defaults.correction)
     learn.add_argument("--depth", type=int, choices=depths, default=learn_defaults.depth)
     learn.add_argument("--lasso-folds", type=at_least_two, default=learn_defaults.lasso_folds)
     learn.add_argument("--seed", type=non_negative, default=learn_defaults.seed)
-    learn.add_argument("--out", default="")
     learn.set_defaults(func=cmd_learn)
 
-    ev = sub.add_parser("evaluate", help="value a policy on a CSV, single or CV")
-    _add_data_flags(ev)
+    ev = sub.add_parser("evaluate", parents=[data], help="value a policy on a CSV, single or CV")
     ev.add_argument(
         "--policy",
         default="treat-all",
@@ -435,12 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="plug-in propensity: arm proportions (randomized) or linear probability",
     )
     ev.add_argument("--seed", type=non_negative, default=0)
-    ev.add_argument("--out", default="")
     ev.set_defaults(func=cmd_evaluate)
 
-    bal = sub.add_parser("balance", help="normalized covariate differences")
-    _add_data_flags(bal)
-    bal.add_argument("--out", default="")
+    bal = sub.add_parser("balance", parents=[data], help="normalized covariate differences")
     bal.set_defaults(func=cmd_balance)
 
     return parser

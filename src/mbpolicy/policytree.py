@@ -78,14 +78,29 @@ _LINE_BREAKS = str.maketrans(
 _JSON_KINDS = {"integer": int, "number": (int, float), "string": str}
 
 
-def _json_list(value: object, kind: str) -> list:
-    """value if it is a JSON list of kind, else a TypeError naming the misfit."""
+def _json_list(value: object, kind: str, length: int | None = None) -> list:
+    """value if it is a JSON list of kind (and length), else an error naming the misfit."""
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON list, got {json.dumps(value)}")
     for item in value:
         if isinstance(item, bool) or not isinstance(item, _JSON_KINDS[kind]):
             raise TypeError(f"expected a JSON {kind}, got {json.dumps(item)}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"expected {length} value(s), got {len(value)}")
     return value
+
+
+def _json_thresholds(value: object, length: int) -> np.ndarray:
+    """value as thresholds: numbers, or "inf" and "-inf"; NaN (a JSON extension) is refused.
+
+    Standard JSON has no infinities, so to_json writes them as those two strings.
+    """
+    if isinstance(value, list):
+        value = [float(item) if item in ("inf", "-inf") else item for item in value]
+    thresholds = np.array(_json_list(value, "number", length), dtype=float)
+    if np.any(np.isnan(thresholds)):
+        raise ValueError("thresholds must not be NaN")
+    return thresholds
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,26 +249,38 @@ class TreePolicy:
         )
 
     def to_json(self) -> str:
-        """One key per field, in field order; arrays as lists."""
+        """One key per field, in field order; arrays as lists, an infinite threshold as a string.
+
+        The text is standard JSON: "inf" and "-inf" stand for the infinities.
+        """
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(
-            {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()},
-            indent=2,
-        )
+        values = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+        values["thresholds"] = [t if np.isfinite(t) else repr(t) for t in values["thresholds"]]
+        return json.dumps(values, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "TreePolicy":
-        """Parse the to_json form; malformed input raises ValueError naming the key."""
+        """Parse the to_json form; malformed input raises ValueError naming the key.
+
+        A threshold may also be the non-standard token Infinity or -Infinity,
+        as older files wrote them.
+        """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"policy JSON must be an object, got {type(payload).__name__}")
         payload.setdefault("feature_names", None)
         values = {}
+
+        def nodes() -> int:  # internal nodes, from the depth already checked
+            return 2 ** values["depth"] - 1
+
         for key, convert in (
-            ("depth", lambda v: _json_list([v], "integer")[0]),
-            ("features", lambda v: np.array(_json_list(v, "integer"), dtype=np.int64)),
-            ("thresholds", lambda v: np.array(_json_list(v, "number"), dtype=float)),
-            ("leaf_actions", lambda v: np.array(_json_list(v, "integer"), dtype=np.int64)),
+            ("depth", lambda v: _check_int("depth", _json_list([v], "integer")[0], 1, MAX_DEPTH)),
+            ("features", lambda v: np.array(_json_list(v, "integer", nodes()), dtype=np.int64)),
+            ("thresholds", lambda v: _json_thresholds(v, nodes())),
+            ("leaf_actions", lambda v: np.array(
+                _json_list(v, "integer", nodes() + 1), dtype=np.int64
+            )),
             ("eligible_features", lambda v: tuple(_json_list(v, "integer"))),
             ("feature_names", lambda v: None if v is None else tuple(_json_list(v, "string"))),
         ):

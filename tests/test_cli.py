@@ -295,6 +295,102 @@ class TestEvaluate:
         assert "cv_failures.csv" in (out / "outputs.sha256").read_text()
 
 
+class TestPolicyFileSpelling:
+    def test_two_spellings_of_one_file_give_one_result(self, eval_csv, tmp_path, monkeypatch):
+        assert main(["learn", "--data", str(eval_csv), "--m", "1", "--correction", "none",
+                     "--depth", "1", "--out", str(tmp_path / "fit")]) == 0
+        monkeypatch.chdir(tmp_path)
+        policy = tmp_path / "fit" / "policy.txt"
+        for spelling, out in ((str(policy), "by-absolute"), ("fit/policy.txt", "by-relative")):
+            assert main(["evaluate", "--data", str(eval_csv), "--policy", spelling,
+                         "--out", out]) == 0
+        absolute, relative = tmp_path / "by-absolute", tmp_path / "by-relative"
+        checksums = [(out / "outputs.sha256").read_bytes() for out in (absolute, relative)]
+        assert checksums[0] == checksums[1]
+        payload = json.loads((relative / "evaluation.json").read_text())
+        manifest = json.loads((relative / "manifest.json").read_text())
+        assert payload["policy"] == f"sha256:{sha256(policy)}"
+        assert manifest["inputs"]["policy"] == {"path": "fit/policy.txt", "sha256": sha256(policy)}
+
+
+def data_manifest(eval_csv, command, excluded=(), **parameters):
+    """The manifest of a data command on eval_csv with default data flags."""
+    return {
+        "command": command,
+        "parameters": {
+            "treatment_col": "treat", "outcome_col": "re78", "covariates": ["a", "b"],
+            "excluded_from_policy": list(excluded), **parameters,
+        },
+        "inputs": {"data": {"path": str(eval_csv), "sha256": sha256(eval_csv)}},
+    }
+
+
+class TestWholeManifest:
+    """Each command's manifest.json, every parameter and input."""
+
+    def run(self, argv, out):
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(simulate_args(out)) == 0
+        assert json.loads((out / "manifest.json").read_text()) == {
+            "command": "simulate",
+            "parameters": {
+                "scenario": 1, "main": "linear", "contrast": "tree", "n": 80, "methods": ["mb-m1"],
+                "reps": 2, "seed": 0, "test_n": 400, "depth": 2, "threads": 1,
+            },
+            "inputs": {},
+        }
+
+    @pytest.mark.slow
+    def test_replicate(self, tmp_path):
+        argv = ["replicate", "--budget", "smoke", "--seed", "2", "--test-n", "300"]
+        assert self.run(argv, tmp_path / "rep") == {
+            "command": "replicate",
+            "parameters": {
+                "budget": "smoke", "seed": 2, "test_n": 300, "threads": 1, "scenarios": [1],
+                "mains": ["linear"], "contrasts": ["tree"], "sizes": [200],
+                "methods": ["mb-m5", "mb-lasso-m5"], "reps": 3,
+            },
+            "inputs": {},
+        }
+
+    def test_learn(self, eval_csv, tmp_path):
+        argv = ["learn", "--data", str(eval_csv), "--m", "1", "--correction", "none",
+                "--depth", "1", "--exclude", "a"]
+        assert self.run(argv, tmp_path / "fit") == data_manifest(
+            eval_csv, "learn", ["a"], m=1, correction="none", depth=1, lasso_folds=5, seed=0,
+        )
+
+    def test_evaluate_policy_file(self, eval_csv, tmp_path):
+        self.run(["learn", "--data", str(eval_csv), "--m", "1", "--correction", "none",
+                  "--depth", "1"], tmp_path / "fit")
+        policy = tmp_path / "fit" / "policy.json"
+        argv = ["evaluate", "--data", str(eval_csv), "--policy", str(policy),
+                "--propensity", "linear"]
+        expected = data_manifest(
+            eval_csv, "evaluate", propensity="linear", seed=0, cv=False, policy=str(policy),
+        )
+        expected["inputs"]["policy"] = {"path": str(policy), "sha256": sha256(policy)}
+        assert self.run(argv, tmp_path / "eval") == expected
+
+    def test_evaluate_cv(self, eval_csv, tmp_path):
+        argv = ["evaluate", "--data", str(eval_csv), "--cv", "--method", "mb-m1", "--folds", "4",
+                "--repeats", "1", "--seed", "3", "--exclude", "b"]
+        assert self.run(argv, tmp_path / "cv") == data_manifest(
+            eval_csv, "evaluate", ["b"], propensity="proportions", seed=3, cv=True,
+            method="mb-m1", folds=4, repeats=1, depth=2,
+        )
+
+    def test_balance(self, eval_csv, tmp_path):
+        argv = ["balance", "--data", str(eval_csv), "--covariates", "b,a"]
+        expected = data_manifest(eval_csv, "balance")
+        expected["parameters"]["covariates"] = ["b", "a"]
+        assert self.run(argv, tmp_path / "bal") == expected
+
+
 def reject_constant(name):
     raise ValueError(f"not standard JSON: {name}")
 

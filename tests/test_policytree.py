@@ -81,6 +81,10 @@ def per_feature_rows(x, eligible=None):
     ]
 
 
+def reject_constant(name):
+    raise ValueError(f"not standard JSON: {name}")
+
+
 def stump(feature, threshold, left, right, p=2):
     return TreePolicy(
         depth=1,
@@ -276,6 +280,51 @@ class TestTreePolicyType:
         payload = json.loads(stump(0, 1.5, 1, 0).to_json())
         with pytest.raises(ValueError, match=message):
             TreePolicy.from_json(json.dumps(edit(payload)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: {**d, "features": d["features"][:-1]},
+             "key 'features': expected 3 value(s), got 2"),
+            (lambda d: {**d, "thresholds": [*d["thresholds"], 0.5]},
+             "key 'thresholds': expected 3 value(s), got 4"),
+            (lambda d: {**d, "leaf_actions": d["leaf_actions"][:2]},
+             "key 'leaf_actions': expected 4 value(s), got 2"),
+            (lambda d: {**d, "depth": 1}, "key 'features': expected 1 value(s), got 3"),
+            (lambda d: {**d, "thresholds": [0.0, float("nan"), 1.0]},
+             "key 'thresholds': thresholds must not be NaN"),
+            (lambda d: {**d, "depth": 3}, "key 'depth': depth must be in 1..2, got 3"),
+            (lambda d: {**d, "depth": 10**18},
+             f"key 'depth': depth must be in 1..2, got {10**18}"),
+            (lambda d: {**d, "depth": 0}, "key 'depth': depth must be in 1..2, got 0"),
+        ],
+        ids=["short-features", "long-thresholds", "short-leaves", "depth-for-fewer-nodes",
+             "nan-threshold", "depth-3", "huge-depth", "depth-0"],
+    )
+    def test_json_shape_and_nan_name_the_key(self, edit, message):
+        tree = TreePolicy(
+            depth=2, features=np.array([0, 1, 0]), thresholds=np.array([0.5, -np.inf, 2.0]),
+            leaf_actions=np.array([1, 0, 0, 1]), eligible_features=(0, 1),
+        )
+        payload = json.loads(tree.to_json())
+        with pytest.raises(ValueError, match=f"^policy JSON {re.escape(message)}$"):
+            TreePolicy.from_json(json.dumps(edit(payload)))
+
+    @pytest.mark.parametrize("tree", [
+        constant_policy(1),
+        search_tree(np.random.default_rng(3).normal(size=(50, 2)), np.ones(50), 2),
+    ], ids=["treat-all", "all-one-way-depth-2"])
+    def test_json_is_standard_and_round_trips(self, tree):
+        assert not np.all(np.isfinite(tree.thresholds))  # the case that needs a string form
+        text = tree.to_json()
+        json.loads(text, parse_constant=reject_constant)
+        assert TreePolicy.from_json(text) == tree
+
+    def test_json_still_reads_the_infinity_tokens(self):
+        tree = search_tree(np.random.default_rng(3).normal(size=(50, 2)), np.ones(50), 2)
+        legacy = tree.to_json().replace('"-inf"', "-Infinity").replace('"inf"', "Infinity")
+        assert "Infinity" in legacy
+        assert TreePolicy.from_json(legacy) == tree
 
 
 @st.composite
