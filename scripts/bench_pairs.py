@@ -30,7 +30,11 @@ It runs, in this order:
   the study search and `load_csv`, which take milliseconds) and keeping
   their median; the digests of the outputs (matched sets and distances,
   tree JSON, lasso coefficients and penalties, loaded x, w and y) must agree
-  between sides;
+  between sides; each run also records the tracemalloc peak of one
+  `match_units` call (after the warm-up) per n and on the study fold;
+- start-up: after each stage run, a fresh process on the same side runs
+  `import mbpolicy.cli` and reports its `ru_maxrss`, and its wall time,
+  interpreter start included, is taken around it;
 - `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
 
@@ -60,10 +64,10 @@ STAGES = ("match", "search", "lasso")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
 # Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "study_match": s,
-# "study_search": s, "lasso_study8": s, "study_load": s, "digest": {n: sha, and a sha
-# for each study stage}}.
+# "study_search": s, "lasso_study8": s, "study_load": s, "match_peak_mb": {n: MB,
+# "study_match": MB}, "digest": {n: sha, and a sha for each study stage}}.
 STAGE_CODE = """
-import hashlib, json, pathlib, statistics, sys, tempfile, time
+import hashlib, json, pathlib, statistics, sys, tempfile, time, tracemalloc
 import numpy as np
 from mbpolicy import (
     CsvSchema, LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis,
@@ -80,11 +84,20 @@ def timed(fn, calls=3):
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
 
-out = {"match": {}, "search": {}, "lasso": {}, "digest": {}}
+def peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+out = {"match": {}, "search": {}, "lasso": {}, "match_peak_mb": {}, "digest": {}}
 for n in map(int, sys.argv[1:]):
     data = generate(SimulationSpec(1, "linear", "tree", n, seed=1010))[0]
     metric = fit_mahalanobis(data.x)
     out["match"][n], matches = timed(lambda: match_units(data, metric, 5))
+    out["match_peak_mb"][n] = peak_mb(lambda: match_units(data, metric, 5))
     gamma = impute_scores(data, LearnConfig(m=5, correction="none")).gamma
     out["search"][n], tree = timed(lambda: search_tree(data.x, gamma, 2))
     out["lasso"][n], model = timed(lambda: fit_lasso_per_arm(data))
@@ -104,6 +117,7 @@ fold = ObservationalDataset(
 )
 metric = fit_mahalanobis(fold.x)
 out["study_match"], matches = timed(lambda: match_units(fold, metric, 5))
+out["match_peak_mb"]["study_match"] = peak_mb(lambda: match_units(fold, metric, 5))
 digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
 out["digest"]["study_match"] = digest.hexdigest()
 
@@ -132,6 +146,9 @@ digest = hashlib.sha256(data.x.tobytes() + data.w.tobytes() + data.y.tobytes())
 out["digest"]["study_load"] = digest.hexdigest()
 print(json.dumps(out))
 """
+
+# Runs in a fresh process: imports the command-line module and prints its ru_maxrss (KiB).
+IMPORT_CODE = "import resource, mbpolicy.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 
 
 def env_for(checkout: Path) -> dict:
@@ -215,10 +232,15 @@ def end_to_end(sides: dict, workloads: list[str], seconds: float) -> dict:
 
 def stages(sides: dict) -> dict:
     samples = {side: [] for side in sides}
+    imports = {side: {"wall_s": [], "maxrss_mb": []} for side in sides}
     for k in range(STAGE_RUNS):
         for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
             code = [sys.executable, "-c", STAGE_CODE, *map(str, STAGE_NS)]
             samples[side].append(json.loads(run(code, sides[side])))
+            start = time.perf_counter()
+            maxrss_kib = int(run([sys.executable, "-c", IMPORT_CODE], sides[side]))
+            imports[side]["wall_s"].append(time.perf_counter() - start)
+            imports[side]["maxrss_mb"].append(maxrss_kib / 1024)
     out = {
         "fixture": "generate(SimulationSpec(1, 'linear', 'tree', n, seed=1010)), p=4; "
         "match_units(data, fit_mahalanobis(data.x), 5); search_tree(data.x, gamma, 2) with gamma "
@@ -233,6 +255,9 @@ def stages(sides: dict) -> dict:
                 times = [sample[stage][n] for sample in samples[side]]
                 entry[f"{stage}_{side}_median_s"] = statistics.median(times)
                 entry[f"{stage}_{side}_runs_s"] = times
+        for side in sides:
+            peaks = [sample["match_peak_mb"][n] for sample in samples[side]]
+            entry[f"match_peak_{side}_median_mb"] = statistics.median(peaks)
         digests = {sample["digest"][n] for side in sides for sample in samples[side]}
         entry["same_outputs"] = len(digests) == 1
         out["by_n"][n] = entry
@@ -252,9 +277,17 @@ def stages(sides: dict) -> dict:
             times = [sample[stage] for sample in samples[side]]
             study[f"{side}_median_s"] = statistics.median(times)
             study[f"{side}_runs_s"] = times
+            if stage in samples[side][0]["match_peak_mb"]:
+                peaks = [sample["match_peak_mb"][stage] for sample in samples[side]]
+                study[f"{side}_peak_median_mb"] = statistics.median(peaks)
         digests = {sample["digest"][stage] for side in sides for sample in samples[side]}
         study["same_outputs"] = len(digests) == 1
         out[stage] = study
+    out["import_cli"] = {
+        "fixture": "a fresh process running `import mbpolicy.cli`: wall time around it, "
+        "interpreter start included, and its own ru_maxrss",
+        **{side: {k: spread(v) for k, v in imports[side].items()} for side in sides},
+    }
     return out
 
 

@@ -125,8 +125,10 @@ def match_units(
     _BLOCK_BYTES of differences, so memory stays bounded as n grows; each
     treated unit takes its m nearest from its block row, and each control
     keeps its m nearest treated units so far, merged with every block's
-    column. Ties go to the smallest unit index (see _nearest), so the result
-    does not depend on the block size. Deterministic.
+    column. The difference buffer is freed once the last block's squared
+    distances exist, so a problem that fits in one block selects neighbours
+    without it. Ties go to the smallest unit index (see _nearest), so the
+    result does not depend on the block size. Deterministic.
     """
     m = _check_int("m", m, 1)
     if metric.p != data.p:
@@ -157,6 +159,8 @@ def match_units(
         d[...] = z_t[block, None, :]
         d -= z_c
         d2 = np.einsum("ijk,ijk->ij", d, d)
+        if block.stop == n1:
+            del d, diff  # spent: the last block selects without its differences
         order = _nearest(d2, m)
         t_sets[block] = order
         t_d2[block] = np.take_along_axis(d2, order, axis=1)

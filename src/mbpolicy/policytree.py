@@ -103,6 +103,12 @@ def _json_thresholds(value: object, length: int) -> np.ndarray:
     return thresholds
 
 
+def _check_leaves(leaves: np.ndarray) -> np.ndarray:
+    if not np.all(np.isin(leaves, (0, 1))):
+        raise ValueError("leaf actions must be 0 or 1")
+    return leaves
+
+
 @dataclass(frozen=True, eq=False)
 class TreePolicy:
     """Complete binary decision tree assigning a binary action per unit.
@@ -135,8 +141,7 @@ class TreePolicy:
             raise ValueError(f"expected {n_internal + 1} leaves for depth {depth}")
         if np.any(np.isnan(thresholds)):
             raise ValueError("thresholds must not be NaN")
-        if not np.all(np.isin(leaves, (0, 1))):
-            raise ValueError("leaf actions must be 0 or 1")
+        _check_leaves(leaves)
         eligible = _check_features("eligible_features", self.eligible_features)
         if not set(features.tolist()) <= set(eligible):
             raise ValueError("every split feature must be in eligible_features")
@@ -278,8 +283,8 @@ class TreePolicy:
             ("depth", lambda v: _check_int("depth", _json_list([v], "integer")[0], 1, MAX_DEPTH)),
             ("features", lambda v: np.array(_json_list(v, "integer", nodes()), dtype=np.int64)),
             ("thresholds", lambda v: _json_thresholds(v, nodes())),
-            ("leaf_actions", lambda v: np.array(
-                _json_list(v, "integer", nodes() + 1), dtype=np.int64
+            ("leaf_actions", lambda v: _check_leaves(
+                np.array(_json_list(v, "integer", nodes() + 1), dtype=np.int64)
             )),
             ("eligible_features", lambda v: tuple(_json_list(v, "integer"))),
             ("feature_names", lambda v: None if v is None else tuple(_json_list(v, "string"))),

@@ -19,8 +19,6 @@ numbers, whose seeds never include the method name.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -354,6 +352,10 @@ def run_experiment(
     _check_methods(methods)
     jobs = [(setting, rep) for setting in settings for rep in range(replications)]
     if threads > 1:
+        # Imported here: a serial run never loads the multiprocessing stack.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(_run_single, setting, methods, rep, seed, test_n, depth)

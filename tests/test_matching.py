@@ -21,6 +21,7 @@ from mbpolicy import (
 )
 
 from mbpolicy import matching
+from mbpolicy.simulation import SimulationSpec, generate
 
 from _oracles import per_arm_match_units, random_dataset, slow_matched_sets
 
@@ -275,6 +276,27 @@ class TestOneDistancePass:
         match_units(data, metric, 5)
         monkeypatch.undo()
         assert formed == [data.n_treated * data.n_control]
+
+    @pytest.mark.parametrize("kind", ["study", "simulation"])
+    def test_one_block_selects_without_its_differences(self, kind):
+        if kind == "study":
+            data = study_fold()
+        else:
+            data = generate(SimulationSpec(1, "linear", "tree", 500, seed=1010))[0]
+        n1, n0 = data.n_treated, data.n_control
+        block = n1 * n0 * data.p * 8
+        assert block <= matching._BLOCK_BYTES  # the whole problem is one block
+        metric = fit_mahalanobis(data.x)
+        match_units(data, metric, 5)
+        tracemalloc.start()
+        try:
+            match_units(data, metric, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # within the differences and two n1 x n0 float arrays only if neighbours
+        # are selected after the differences are freed
+        assert peak <= block + 2 * n1 * n0 * 8
 
     def test_memory_stays_bounded_at_n_8000(self):
         data = random_dataset(np.random.default_rng(35), 8000, 4, min_arm=5)

@@ -202,6 +202,19 @@ class TestLasso:
         assert first.coef1.tobytes() == second.coef1.tobytes()
         assert (first.lambda0, first.lambda1) == (second.lambda0, second.lambda1)
 
+    def test_constant_arm_fits_its_constant(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(60, 3))
+        w = np.array([0, 1] * 30)
+        y = np.where(w == 0, 2.5, x @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=60))
+        data = ObservationalDataset(x=x, w=w, y=y, feature_names=("a", "b", "c"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_lasso_per_arm(data, folds=4, seed=2)
+        assert model.lambda0 == 1e-12  # lambda_max of a constant outcome is 0
+        assert np.all(model.coef0[1:] == 0.0) and model.coef0[0] == 2.5
+        assert model.lambda1 > 1e-12 and np.any(model.coef1[1:] != 0.0)
+
     def test_grid_validation(self):
         data = two_arm_data(
             np.arange(6.0), np.arange(6.0), np.arange(6.0) + 0.5, np.arange(6.0)
@@ -341,6 +354,31 @@ class TestLassoExactSolve:
         assert kkt_violation(gram, corr, exact, lam) <= outcome_models.KKT_TOL
         # a ceiling below the optimum rejects even the verified solution
         assert _exact_on_support(gram, corr, y2, lam, signs, best - 1e-6) is None
+
+    def test_coordinate_descent_alone_converges(self, monkeypatch):
+        # every exact solve rejected: each step must end on CD's own CD_TOL exit
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(60, 4))
+        y = x @ np.array([1.0, -0.5, 0.25, 0.0]) + rng.normal(size=60)
+        xs, _, _ = _standardize(x)
+        yc = y - y.mean()
+        gram, corr, y2 = lasso_parts(xs, yc)
+        grid = default_lambda_grid(x, y)[::10]
+        monkeypatch.setattr(outcome_models, "_accepts", lambda *args: False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = _lasso_path(xs, yc, grid)
+        reference = slow_lasso_path(xs, yc, grid)
+        # a coefficient's KKT condition holds when it is set; the later moves
+        # of the cycle, each below CD_TOL on a unit-variance column, shift its
+        # gradient by at most k * CD_TOL
+        tol = xs.shape[1] * outcome_models.CD_TOL
+        for beta, ref, lam in zip(path, reference, grid):
+            assert kkt_violation(gram, corr, beta, lam) <= tol
+            obj = _objective(beta, gram @ beta, corr, y2, lam)
+            ref_obj = _objective(ref, gram @ ref, corr, y2, lam)
+            assert abs(obj - ref_obj) <= tol * max(1.0, abs(ref_obj))
+        assert np.count_nonzero(path[-1]) >= 3
 
     def test_unconverged_step_warns(self, monkeypatch):
         features, y = earnings_design(0)

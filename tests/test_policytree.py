@@ -293,13 +293,15 @@ class TestTreePolicyType:
             (lambda d: {**d, "depth": 1}, "key 'features': expected 1 value(s), got 3"),
             (lambda d: {**d, "thresholds": [0.0, float("nan"), 1.0]},
              "key 'thresholds': thresholds must not be NaN"),
+            (lambda d: {**d, "leaf_actions": [0, 1, 2, 1]},
+             "key 'leaf_actions': leaf actions must be 0 or 1"),
             (lambda d: {**d, "depth": 3}, "key 'depth': depth must be in 1..2, got 3"),
             (lambda d: {**d, "depth": 10**18},
              f"key 'depth': depth must be in 1..2, got {10**18}"),
             (lambda d: {**d, "depth": 0}, "key 'depth': depth must be in 1..2, got 0"),
         ],
         ids=["short-features", "long-thresholds", "short-leaves", "depth-for-fewer-nodes",
-             "nan-threshold", "depth-3", "huge-depth", "depth-0"],
+             "nan-threshold", "leaf-action-2", "depth-3", "huge-depth", "depth-0"],
     )
     def test_json_shape_and_nan_name_the_key(self, edit, message):
         tree = TreePolicy(

@@ -1,6 +1,8 @@
 import csv
 import itertools
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -465,6 +467,17 @@ class TestOneJobPerReplicate:
                 assert row.error.startswith("BrokenProcessPool: ")
                 assert np.isnan(row.value) and np.isnan(row.seconds) and row.tree is None
         assert all(row.error for row in rows if row.replicate == 1)
+
+    def test_serial_import_loads_no_process_pool(self):
+        code = (
+            "import sys, mbpolicy, mbpolicy.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(simulation.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_failed_draw_fails_every_method(self):
         rows = run_experiment([spec(n=1)], ["mb-m1", "mb-m5"], 1, seed=4, test_n=100)
