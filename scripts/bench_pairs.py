@@ -277,7 +277,7 @@ def stages(sides: dict) -> dict:
             times = [sample[stage] for sample in samples[side]]
             study[f"{side}_median_s"] = statistics.median(times)
             study[f"{side}_runs_s"] = times
-            if stage in samples[side][0]["match_peak_mb"]:
+            if stage == "study_match":
                 peaks = [sample["match_peak_mb"][stage] for sample in samples[side]]
                 study[f"{side}_peak_median_mb"] = statistics.median(peaks)
         digests = {sample["digest"][stage] for side in sides for sample in samples[side]}
