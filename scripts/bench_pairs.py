@@ -31,7 +31,11 @@ It runs, in this order:
   their median; the digests of the outputs (matched sets and distances,
   tree JSON, lasso coefficients and penalties, loaded x, w and y) must agree
   between sides; each run also records the tracemalloc peak of one
-  `match_units` call (after the warm-up) per n and on the study fold;
+  `match_units` call (after the warm-up) per n and on the study fold, of
+  one simulation job, `run_experiment([SimulationSpec(1, "linear", "tree",
+  500)], ["mb-m5"], 1, seed=1000)`, after a warm-up run, and of one
+  `_chunk_tables` call on two continuous N(0, 1) features at n in
+  CHUNK_NS, whose outputs must also agree between sides;
 - start-up: after each stage run, a fresh process on the same side runs
   `import mbpolicy.cli` and reports its `ru_maxrss`, and its wall time,
   interpreter start included, is taken around it;
@@ -61,11 +65,13 @@ SEEDS = (1, 2)
 STAGE_NS = (200, 500, 1000, 2000)
 STAGE_RUNS = 5
 STAGES = ("match", "search", "lasso")
+CHUNK_NS = (8000, 32000)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
 # Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "study_match": s,
 # "study_search": s, "lasso_study8": s, "study_load": s, "match_peak_mb": {n: MB,
-# "study_match": MB}, "digest": {n: sha, and a sha for each study stage}}.
+# "study_match": MB}, "job_peak_mb": MB, "chunk_tables_peak_mb": {n: MB}, "digest": {n: sha,
+# a sha for each study stage, and "chunk_tables_<n>": sha}}; argv is STAGE_NS then CHUNK_NS.
 STAGE_CODE = """
 import hashlib, json, pathlib, statistics, sys, tempfile, time, tracemalloc
 import numpy as np
@@ -73,6 +79,7 @@ from mbpolicy import (
     CsvSchema, LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis,
     impute_scores, load_csv, match_units, search_tree,
 )
+from mbpolicy import policytree, simulation
 from mbpolicy.simulation import SimulationSpec, generate
 
 def timed(fn, calls=3):
@@ -93,7 +100,8 @@ def peak_mb(fn):
         tracemalloc.stop()
 
 out = {"match": {}, "search": {}, "lasso": {}, "match_peak_mb": {}, "digest": {}}
-for n in map(int, sys.argv[1:]):
+stage_ns, chunk_ns = (list(map(int, arg.split(","))) for arg in sys.argv[1:])
+for n in stage_ns:
     data = generate(SimulationSpec(1, "linear", "tree", n, seed=1010))[0]
     metric = fit_mahalanobis(data.x)
     out["match"][n], matches = timed(lambda: match_units(data, metric, 5))
@@ -144,6 +152,25 @@ with tempfile.TemporaryDirectory() as tmp:
     out["study_load"], data = timed(lambda: load_csv(path, schema), calls=101)
 digest = hashlib.sha256(data.x.tobytes() + data.w.tobytes() + data.y.tobytes())
 out["digest"]["study_load"] = digest.hexdigest()
+
+job = lambda: simulation.run_experiment(
+    [SimulationSpec(1, "linear", "tree", 500)], ["mb-m5"], 1, seed=1000
+)
+job()
+out["job_peak_mb"] = peak_mb(job)
+
+out["chunk_tables_peak_mb"] = {}
+for n in chunk_ns:
+    rng = np.random.default_rng(n)
+    x, gamma = rng.normal(size=(n, 2)), rng.normal(size=n)
+    cands = policytree._split_candidates(x[:, 1])
+    a_g = np.searchsorted(cands, x[:, 1], side="left")
+    c_g = np.cumsum(np.bincount(a_g, weights=gamma, minlength=len(cands)))
+    order = np.argsort(x[:, 0], kind="stable")
+    tables = lambda: policytree._chunk_tables(order, a_g, c_g, gamma)
+    out["chunk_tables_peak_mb"][n] = peak_mb(tables)
+    digest = hashlib.sha256(b"".join(part.tobytes() for part in tables()))
+    out["digest"][f"chunk_tables_{n}"] = digest.hexdigest()
 print(json.dumps(out))
 """
 
@@ -235,7 +262,8 @@ def stages(sides: dict) -> dict:
     imports = {side: {"wall_s": [], "maxrss_mb": []} for side in sides}
     for k in range(STAGE_RUNS):
         for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-            code = [sys.executable, "-c", STAGE_CODE, *map(str, STAGE_NS)]
+            ns = (",".join(map(str, STAGE_NS)), ",".join(map(str, CHUNK_NS)))
+            code = [sys.executable, "-c", STAGE_CODE, *ns]
             samples[side].append(json.loads(run(code, sides[side])))
             start = time.perf_counter()
             maxrss_kib = int(run([sys.executable, "-c", IMPORT_CODE], sides[side]))
@@ -283,6 +311,25 @@ def stages(sides: dict) -> dict:
         digests = {sample["digest"][stage] for side in sides for sample in samples[side]}
         study["same_outputs"] = len(digests) == 1
         out[stage] = study
+    out["job_peak"] = {
+        "fixture": "tracemalloc peak of run_experiment([SimulationSpec(1, 'linear', 'tree', "
+        "500)], ['mb-m5'], 1, seed=1000) after one untraced run",
+        **{side: spread([sample["job_peak_mb"] for sample in samples[side]]) for side in sides},
+    }
+    out["chunk_tables"] = {
+        "fixture": "tracemalloc peak of policytree._chunk_tables(order, a_g, c_g, gamma) on x, "
+        "gamma = N(0, 1) draws of default_rng(n), x of two columns: roots on the first, chunks "
+        "on the second",
+    }
+    for n in map(str, CHUNK_NS):
+        entry = {}
+        for side in sides:
+            peaks = [sample["chunk_tables_peak_mb"][n] for sample in samples[side]]
+            entry[f"{side}_peak_median_mb"] = statistics.median(peaks)
+        key = f"chunk_tables_{n}"
+        digests = {sample["digest"][key] for side in sides for sample in samples[side]}
+        entry["same_outputs"] = len(digests) == 1
+        out["chunk_tables"][n] = entry
     out["import_cli"] = {
         "fixture": "a fresh process running `import mbpolicy.cli`: wall time around it, "
         "interpreter start included, and its own ru_maxrss",

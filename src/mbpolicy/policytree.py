@@ -21,12 +21,15 @@ Measured per pair, the dense table is the faster route below about 60 cells
 per unit, either can win from 60 to 100, and the chunked route won every
 pair from 100 up (1.7 to 3.1 times at 100 to 200 cells per unit, 5.9 times
 at n = 2000 with continuous features). Memory: blocks of at most
-_BLOCK_BYTES, at most three live at once, plus, on the chunked route, a
-(n + chunks) x width table of about 8 n sqrt(W_g) bytes (5.8 MB at
-n = 8000), plus O(pn). The roots that score within a rounding tolerance of
-the best (zero for integer gamma, whose sums are exact) are then re-scored
-by the depth-1 scan on each side, so the result is the same floating-point
-optimum, bit for bit, as solving both depth-1 subproblems of every root.
+_BLOCK_BYTES, at most three live at once, plus, on the chunked route, five
+extremes per column of the chunk tables (about 40 n bytes) and each chunk's
+zero column (8 W_g bytes), plus O(pn); the chunk tables themselves are only
+ever held a block at a time (a pair of continuous features peaked at 5.0 MB
+at n = 32000, where the whole table would be 46 MB). The roots that score
+within a rounding tolerance of the best (zero for integer gamma, whose sums
+are exact) are then re-scored by the depth-1 scan on each side, so the
+result is the same floating-point optimum, bit for bit, as solving both
+depth-1 subproblems of every root.
 Ties are broken by a fixed scan order (feature ascending, threshold
 ascending, left subtree before right), and a leaf takes action 1 iff its
 gamma sum is strictly positive, so results are fully deterministic.
@@ -437,39 +440,49 @@ def _dense_children(a_f, order, c_f, a_g, c_g, gamma) -> tuple:
 def _chunk_tables(order, a_g, c_g, gamma) -> tuple:
     """The per-row extremes of the chunk tables Q_k of _chunked_children.
 
-    All the Q_k form one (width, n + chunks) table, a zero column for each
+    All the Q_k form one (width, n + chunks) table q, a zero column for each
     chunk followed by a column for each of its units in a_f order (order
     sorts a_f), summed through every chunk and then less the chunk's zero
-    column. Its columns go a block at a time under _BLOCK_BYTES. Returns
-    (each unit's chunk, each chunk's zero column, extremes), the extremes
-    being each column's last entry, max and min of Q_k and max and min of
-    c_g - Q_k.
+    column. q is built and reduced a block of columns at a time under
+    _BLOCK_BYTES, carrying its last column forward and keeping each chunk's
+    zero column, so no score depends on the block size. Returns (each unit's
+    chunk, each chunk's zero column, extremes), the extremes being each
+    column's last entry, max and min of Q_k and max and min of c_g - Q_k.
     """
     n, n_cols = len(gamma), len(c_g)
     width = isqrt(n_cols - 1) + 1
     n_chunks = -(-n_cols // width)
+    n_total = n + n_chunks
     chunk, column = np.divmod(a_g, width)
     sizes = np.bincount(chunk, minlength=n_chunks)
     zero_rows = np.concatenate(([0], np.cumsum(sizes[:-1] + 1)))
     units = order[np.argsort(chunk[order], kind="stable")]  # by chunk, then a_f
-    q = np.zeros((width, n + n_chunks))
-    q[column[units], np.arange(1, n + 1) + chunk[units]] = gamma[units]
-    for r in range(1, width):
-        q[r] += q[r - 1]
-    np.cumsum(q, axis=1, out=q)
-    base = q[:, zero_rows]
+    at = np.arange(1, n + 1) + chunk[units]  # each unit's column of q, ascending
     c_pad = np.full(n_chunks * width, c_g[-1])  # columns past W_g repeat the last
     c_pad[:n_cols] = c_g
     c_pad = c_pad.reshape(n_chunks, width).T
     column_chunk = np.repeat(np.arange(n_chunks), sizes + 1)
-    extremes = np.empty((5, n + n_chunks))
+    extremes = np.empty((5, n_total))
     step = max(1, _BLOCK_BYTES // (8 * width))
-    for i0 in range(0, n + n_chunks, step):
-        part, k = q[:, i0 : i0 + step], column_chunk[i0 : i0 + step]
+    carry, base = np.zeros(width), np.empty((width, n_chunks))
+    z1 = 0  # zero columns before the block
+    for i0 in range(0, n_total, step):
+        i1 = min(i0 + step, n_total)
+        z0, z1 = z1, int(np.searchsorted(zero_rows, i1))
+        block = units[i0 - z0 : i1 - z1]  # the units of columns i0..i1 - 1
+        part = np.zeros((width, i1 - i0))
+        part[column[block], at[i0 - z0 : i1 - z1] - i0] = gamma[block]
+        for r in range(1, width):
+            part[r] += part[r - 1]
+        part[:, 0] += carry
+        np.cumsum(part, axis=1, out=part)
+        carry = part[:, -1].copy()
+        base[:, z0:z1] = part[:, zero_rows[z0:z1] - i0]
+        k = column_chunk[i0:i1]
         np.subtract(part, base[:, k], out=part)
-        extremes[:3, i0 : i0 + step] = part[-1], part.max(axis=0), part.min(axis=0)
+        extremes[:3, i0:i1] = part[-1], part.max(axis=0), part.min(axis=0)
         np.subtract(c_pad[:, k], part, out=part)
-        extremes[3:, i0 : i0 + step] = part.max(axis=0), part.min(axis=0)
+        extremes[3:, i0:i1] = part.max(axis=0), part.min(axis=0)
     return chunk, zero_rows, extremes
 
 

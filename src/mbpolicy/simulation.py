@@ -12,8 +12,9 @@ order inside generate() is fixed: covariate matrix, then treatment uniforms,
 then outcome noise. Identical specs therefore reproduce bit-identical data.
 
 run_experiment runs one job per (setting, replicate), which draws the training
-and test sets once for every method: methods compete on common random
-numbers, whose seeds never include the method name.
+and test sets once for every method, the test set after every method has
+learned: methods compete on common random numbers, whose seeds never include
+the method name.
 """
 
 from __future__ import annotations
@@ -262,39 +263,58 @@ class ReplicateResult:
 def _run_single(
     setting: SimulationSpec, methods: list[str], rep: int, seed: int, test_n: int, depth: int
 ) -> list[ReplicateResult]:
-    """One (setting, replicate) job: one row per method, all on the same draw.
+    """One (setting, replicate) job: one row per method, all on the same draws.
 
-    The training set, test set and optimal value are drawn once, before any
-    method runs; a failed draw fails every method's row with its error. Each
-    row's seconds cover its own method, and the first row's also cover the draw.
+    The training set is drawn once and every method learns its tree on it;
+    only then are the test set and the optimal value drawn, once, and each
+    tree valued on them, so the test set is never held while a method learns.
+    A failed training draw fails every row and makes no test draw; a failed
+    test draw fails every row with its own error; a failed method fails only
+    its own row. Each row's seconds cover its method's learning and its tree's
+    valuation, and the first row's also cover both draws.
     """
     base = (setting.propensity_scenario, setting.main_effect, setting.contrast)
     dataset_seed = derive_seed("dataset", *base, setting.n, seed, rep)
     # test sets are shared across methods and across training sizes
     test_seed = derive_seed("test", *base, seed, rep)
-    start = time.perf_counter()
+    seconds = [0.0] * len(methods)
+    last = time.perf_counter()
+
+    def lap(k: int) -> None:  # charge the time since the last lap to row k
+        nonlocal last
+        now = time.perf_counter()
+        seconds[k] += now - last
+        last = now
+
     try:
         data, _ = generate(replace(setting, seed=dataset_seed))
+    except Exception as exc:
+        lap(0)
+        return [_row(setting, m, rep, s, **_failure(exc)) for m, s in zip(methods, seconds)]
+    lap(0)
+    outcomes: list = []  # a learned tree, or a failed row's fields
+    for k, method in enumerate(methods):
+        method_seed = derive_seed("method", method, *base, setting.n, seed, rep)
+        try:
+            outcomes.append(learn_with_method(data, method, method_seed, depth))
+        except Exception as exc:
+            outcomes.append(_failure(exc))
+        lap(k)
+    try:
         test_data, test_oracle = generate(replace(setting, n=test_n, seed=test_seed))
         optimal = empirical_value(test_oracle.optimal_rule(test_data.x), test_oracle)
-        failed_draw = None
     except Exception as exc:
-        failed_draw = _failure(exc)
-    rows = []
-    for method in methods:
-        outcome = failed_draw
-        if outcome is None:
-            method_seed = derive_seed("method", method, *base, setting.n, seed, rep)
+        outcomes = [_failure(exc)] * len(methods)
+    lap(0)
+    for k, tree in enumerate(outcomes):
+        if isinstance(tree, TreePolicy):
             try:
-                tree = learn_with_method(data, method, method_seed, depth)
                 value = empirical_value(evaluate_policy(tree, test_data.x), test_oracle)
-                outcome = dict(value=value, regret=optimal - value, tree=tree)
+                outcomes[k] = dict(value=value, regret=optimal - value, tree=tree)
             except Exception as exc:
-                outcome = _failure(exc)
-        end = time.perf_counter()
-        rows.append(_row(setting, method, rep, end - start, **outcome))
-        start = end
-    return rows
+                outcomes[k] = _failure(exc)
+            lap(k)
+    return [_row(setting, m, rep, s, **o) for m, s, o in zip(methods, seconds, outcomes)]
 
 
 def _row(
@@ -335,8 +355,9 @@ def run_experiment(
 ) -> list[ReplicateResult]:
     """Replicated grid run: settings x methods x replications.
 
-    One job per (setting, replicate) draws the training set, test set and
-    optimal value once and runs every method on them. Seeds derive from
+    One job per (setting, replicate) draws the training set once and learns
+    every method on it, then draws the test set and optimal value once and
+    values every learned tree on them (see _run_single). Seeds derive from
     (setting, replicate, seed), plus the method name for the learner's own
     seed; the seed field of the settings themselves is ignored. Per-method
     failures are recorded in the row, not raised; so is a pool worker's death,

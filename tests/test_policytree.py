@@ -743,6 +743,23 @@ class TestChunkedDepthTwoScores:
         assert len(chunked_pairs) == 12
         assert peak < 16 * 2**20
 
+    def test_chunk_tables_stay_within_blocks_at_n_32000(self):
+        # the whole (179, 32179) chunk table would be 46 MB on its own
+        rng = np.random.default_rng(89)
+        x = rng.normal(size=(32_000, 2))
+        gamma = rng.normal(size=32_000)
+        per_feature = per_feature_rows(x)
+        cands = per_feature[1][4]
+        a_g = np.searchsorted(cands, x[:, 1], side="left")
+        c_g = np.cumsum(np.bincount(a_g, weights=gamma, minlength=len(cands)))
+        tracemalloc.start()
+        try:
+            policytree._chunk_tables(per_feature[0][1], a_g, c_g, gamma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 class TestLearnPolicy:
     def test_hand_example_composes(self):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,67 @@ class TestOneJobPerReplicate:
         rows = run_experiment([spec(n=1)], ["mb-m1", "mb-m5", "aipw-tree"], 1, seed=4, test_n=100)
         assert len(calls) == 1
         assert len({row.error for row in rows}) == 1 and rows[0].error
+
+    def test_failed_test_draw_fails_every_method(self, monkeypatch):
+        def draw(spec):
+            if spec.n == 100:
+                raise RuntimeError("no test set")
+            return generate(spec)
+
+        monkeypatch.setattr(simulation, "generate", draw)
+        # mb-lasso-m1 fails on its own at n=8; the test draw's error still wins
+        methods = ["mb-lasso-m1", "mb-m1", "aipw-tree"]
+        rows = run_experiment([spec(1, "linear", "tree", n=8)], methods, 1, seed=8, test_n=100)
+        assert [row.method for row in rows] == methods
+        for row in rows:
+            assert row.error == "RuntimeError: no test set"
+            assert np.isnan(row.value) and np.isnan(row.regret) and row.tree is None
+
+    def test_test_set_is_drawn_after_every_method_learns(self, monkeypatch):
+        events = []
+        learn = simulation.learn_with_method
+
+        def draw(spec):
+            events.append(("draw", spec.n))
+            return generate(spec)
+
+        def learn_spy(data, method, seed, depth):
+            events.append(("learn", method))
+            return learn(data, method, seed, depth)
+
+        monkeypatch.setattr(simulation, "generate", draw)
+        monkeypatch.setattr(simulation, "learn_with_method", learn_spy)
+        settings = [spec(1, "linear", "tree", n=40), spec(2, "nonlinear", "nontree", n=40)]
+        methods = ["mb-m1", "mb-lr-m5", "aipw-tree"]
+        rows = run_experiment(settings, methods, 2, seed=3, test_n=200)
+        assert not any(row.error for row in rows)
+        # each job: its training draw, every method's learning, then its test draw
+        job = [("draw", 40), *(("learn", method) for method in methods), ("draw", 200)]
+        assert events == job * 4
+
+    def test_test_set_is_not_held_while_a_method_learns(self, monkeypatch):
+        settings, methods = [SimulationSpec(1, "linear", "tree", 500)], ["mb-m5"]
+        calls = []
+        learn = simulation.learn_with_method
+
+        def learn_spy(*args):
+            calls.append(args)
+            return learn(*args)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(simulation, "learn_with_method", learn_spy)
+        run_experiment(settings, methods, 1, seed=1000)  # records the job's learning call
+        learn_peak = traced_peak(lambda: learn(*calls[0]))
+        job_peak = traced_peak(lambda: run_experiment(settings, methods, 1, seed=1000))
+        # the 20,000-row test set (x, w, y, y0 and y1) alone is 1.2 MB
+        assert job_peak <= learn_peak + 0.5 * 2**20
 
     def test_failed_method_leaves_the_others(self):
         settings = [spec(1, "linear", "tree", n=8)]
