@@ -7,38 +7,19 @@ context lines carry their SHAs):
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
         --label abc1234 --summary "what the change does" --out BENCH_abc1234.json
 
-It runs, in this order:
+It runs, in this order, alternating which side goes first:
 
-- end to end, for every workload W of BENCHMARK.json and each workload
-  seed S in SEEDS: `bench/run.py --workload W --seed S --seconds T --trace 0`,
-  T being BENCHMARK.json's run_seconds, in PAIRS parent/change pairs; each
-  pair runs every seed and workload, so a slow phase of the machine lands on
-  both seeds, and the side that runs first alternates between pairs; each
-  record keeps the run's final JSON line, its context line and its
-  deterministic output lines;
-- per stage: `match_units` (m=5), depth-2 `search_tree` on raw m=5
-  matching gamma and `fit_lasso_per_arm` with its defaults, on
-  `generate(SimulationSpec(1, "linear", "tree", n, seed=1010))` for n in
-  200, 500, 1000, 2000; on a study-shaped fold, the 356 rows (every row but
-  each fifth) of bench/nsw_shaped.py's seed-0 file with all eight
-  covariates, `match_units` (m=5) and depth-2 `search_tree` with black and
-  hispanic barred from splits and gamma from `impute_scores(fold,
-  LearnConfig(m=5, correction="ols"))`; `fit_lasso_per_arm` on all 445 rows
-  of that file with all eight covariates; and `load_csv` of the whole file
-  with every other column a covariate; one process per run, alternating
-  sides, each timing one warm-up and three calls per stage and n (101 for
-  the study search and `load_csv`, which take milliseconds) and keeping
-  their median; the digests of the outputs (matched sets and distances,
-  tree JSON, lasso coefficients and penalties, loaded x, w and y) must agree
-  between sides; each run also records the tracemalloc peak of one
-  `match_units` call (after the warm-up) per n and on the study fold, of
-  one simulation job, `run_experiment([SimulationSpec(1, "linear", "tree",
-  500)], ["mb-m5"], 1, seed=1000)`, after a warm-up run, and of one
-  `_chunk_tables` call on two continuous N(0, 1) features at n in
-  CHUNK_NS, whose outputs must also agree between sides;
-- start-up: after each stage run, a fresh process on the same side runs
-  `import mbpolicy.cli` and reports its `ru_maxrss`, and its wall time,
-  interpreter start included, is taken around it;
+- end to end: `bench/run.py --workload W --seed S --seconds T --trace 0` for
+  every workload W of BENCHMARK.json and seed S in SEEDS, T being its
+  run_seconds, in PAIRS parent/change pairs; each pair runs every seed and
+  workload, so a slow phase of the machine lands on both seeds; each record
+  keeps the run's final JSON line, its context line and its deterministic
+  output lines, which are compared between sides at equal op counts only;
+- stages: STAGE_RUNS processes per side, each running STAGE_CODE, which
+  times, peaks and digests every row of its STAGES table (the fixture of each
+  row is written there and copied into the report);
+- fresh processes: FRESH_RUNS rounds of the processes that fresh_table names,
+  each timed from outside, interpreter start included;
 - `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
 
@@ -55,6 +36,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,18 +44,14 @@ ROOT = Path(__file__).resolve().parents[1]
 BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_s": "lower", "peak_rss_mb": "lower"}
 PAIRS = 10
 SEEDS = (1, 2)
-STAGE_NS = (200, 500, 1000, 2000)
 STAGE_RUNS = 5
-STAGES = ("match", "search", "lasso")
-CHUNK_NS = (8000, 32000)
+FRESH_RUNS = 12
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
 
-# Runs inside each checkout: prints {stage: {n: s} for each of STAGES, "study_match": s,
-# "study_search": s, "lasso_study8": s, "study_load": s, "match_peak_mb": {n: MB,
-# "study_match": MB}, "job_peak_mb": MB, "chunk_tables_peak_mb": {n: MB}, "digest": {n: sha,
-# a sha for each study stage, and "chunk_tables_<n>": sha}}; argv is STAGE_NS then CHUNK_NS.
-STAGE_CODE = """
-import hashlib, json, pathlib, statistics, sys, tempfile, time, tracemalloc
+# Runs inside each checkout and prints one JSON record per (row, size) of STAGES: its key,
+# fixture, timed calls, median seconds, tracemalloc peak in MB and the SHA-256 of its result.
+STAGE_CODE = r'''
+import functools, hashlib, json, pathlib, statistics, sys, tempfile, time, tracemalloc
 import numpy as np
 from mbpolicy import (
     CsvSchema, LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis,
@@ -82,100 +60,137 @@ from mbpolicy import (
 from mbpolicy import policytree, simulation
 from mbpolicy.simulation import SimulationSpec, generate
 
-def timed(fn, calls=3):
-    fn()
-    times = []
-    for _ in range(calls):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
+SIM = "on generate(SimulationSpec(1, 'linear', 'tree', n, seed=1010)), p=4"
+FOLD = ("on the 356 rows of bench/nsw_shaped.py's seed-0 file whose index is not a multiple "
+        "of 5, eight covariates")
 
-def peak_mb(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+@functools.cache
+def nsw_shaped():
+    sys.path.insert(0, "bench")
+    import nsw_shaped
+    return nsw_shaped
 
-out = {"match": {}, "search": {}, "lasso": {}, "match_peak_mb": {}, "digest": {}}
-stage_ns, chunk_ns = (list(map(int, arg.split(","))) for arg in sys.argv[1:])
-for n in stage_ns:
-    data = generate(SimulationSpec(1, "linear", "tree", n, seed=1010))[0]
+@functools.cache
+def sim(n):
+    return generate(SimulationSpec(1, "linear", "tree", n, seed=1010))[0]
+
+@functools.cache
+def study(fold):
+    """bench/nsw_shaped.py's seed-0 file, all of it or the fold of rows not a multiple of 5."""
+    rows = nsw_shaped().generate_rows(0)
+    rows = rows[np.arange(len(rows)) % 5 != 0] if fold else rows
+    return ObservationalDataset(
+        x=rows[:, 1:9], w=rows[:, 0].astype(np.int64), y=rows[:, 9],
+        feature_names=nsw_shaped().HEADER[1:9],
+    )
+
+def matched(data):
     metric = fit_mahalanobis(data.x)
-    out["match"][n], matches = timed(lambda: match_units(data, metric, 5))
-    out["match_peak_mb"][n] = peak_mb(lambda: match_units(data, metric, 5))
-    gamma = impute_scores(data, LearnConfig(m=5, correction="none")).gamma
-    out["search"][n], tree = timed(lambda: search_tree(data.x, gamma, 2))
-    out["lasso"][n], model = timed(lambda: fit_lasso_per_arm(data))
-    digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
-    digest.update(tree.to_json().encode())
-    digest.update(model.coef0.tobytes() + model.coef1.tobytes())
-    digest.update(repr((model.lambda0, model.lambda1)).encode())
-    out["digest"][n] = digest.hexdigest()
+    return (lambda: match_units(data, metric, 5),
+            lambda m: m.matched_sets.tobytes() + m.distances.tobytes())
 
-sys.path.insert(0, "bench")
-import nsw_shaped
-rows = nsw_shaped.generate_rows(0)
-rows = rows[np.arange(len(rows)) % 5 != 0]
-fold = ObservationalDataset(
-    x=rows[:, 1:9], w=rows[:, 0].astype(np.int64), y=rows[:, 9],
-    feature_names=nsw_shaped.HEADER[1:9],
-)
-metric = fit_mahalanobis(fold.x)
-out["study_match"], matches = timed(lambda: match_units(fold, metric, 5))
-out["match_peak_mb"]["study_match"] = peak_mb(lambda: match_units(fold, metric, 5))
-digest = hashlib.sha256(matches.matched_sets.tobytes() + matches.distances.tobytes())
-out["digest"]["study_match"] = digest.hexdigest()
+def searched(data, correction, *eligible):
+    gamma = impute_scores(data, LearnConfig(m=5, correction=correction)).gamma
+    return lambda: search_tree(data.x, gamma, 2, *eligible), lambda tree: tree.to_json().encode()
 
-study = fold.excluding_from_policy(["black", "hispanic"])
-gamma = impute_scores(study, LearnConfig(m=5, correction="ols")).gamma
-out["study_search"], tree = timed(
-    lambda: search_tree(study.x, gamma, 2, study.eligible_features), calls=101
-)
-out["digest"]["study_search"] = hashlib.sha256(tree.to_json().encode()).hexdigest()
+def study_searched(_):
+    fold = study(True).excluding_from_policy(["black", "hispanic"])
+    return searched(fold, "ols", fold.eligible_features)
 
-all_rows = nsw_shaped.generate_rows(0)
-study8 = ObservationalDataset(
-    x=all_rows[:, 1:9], w=all_rows[:, 0].astype(np.int64), y=all_rows[:, 9],
-    feature_names=nsw_shaped.HEADER[1:9],
-)
-out["lasso_study8"], model = timed(lambda: fit_lasso_per_arm(study8))
-digest = hashlib.sha256(model.coef0.tobytes() + model.coef1.tobytes())
-digest.update(repr((model.lambda0, model.lambda1)).encode())
-out["digest"]["lasso_study8"] = digest.hexdigest()
+def lassoed(data):
+    return (lambda: fit_lasso_per_arm(data), lambda model: model.coef0.tobytes()
+            + model.coef1.tobytes() + repr((model.lambda0, model.lambda1)).encode())
 
-with tempfile.TemporaryDirectory() as tmp:
-    path = nsw_shaped.write_csv(pathlib.Path(tmp) / "s.csv", 0)
+def loaded(_):
+    tmp = tempfile.TemporaryDirectory()
+    path = nsw_shaped().write_csv(pathlib.Path(tmp.name) / "s.csv", 0)
     schema = CsvSchema("treat", "re78", ())
-    out["study_load"], data = timed(lambda: load_csv(path, schema), calls=101)
-digest = hashlib.sha256(data.x.tobytes() + data.w.tobytes() + data.y.tobytes())
-out["digest"]["study_load"] = digest.hexdigest()
+    # the default argument keeps the directory, and so the file, as long as the call
+    return (lambda tmp=tmp: load_csv(path, schema),
+            lambda data: data.x.tobytes() + data.w.tobytes() + data.y.tobytes())
 
-job = lambda: simulation.run_experiment(
-    [SimulationSpec(1, "linear", "tree", 500)], ["mb-m5"], 1, seed=1000
-)
-job()
-out["job_peak_mb"] = peak_mb(job)
+def job(_):
+    specs = [SimulationSpec(1, "linear", "tree", 500)]
+    return (lambda: simulation.run_experiment(specs, ["mb-m5"], 1, seed=1000),
+            lambda rows: repr([(row.value, row.regret, row.error) for row in rows]).encode())
 
-out["chunk_tables_peak_mb"] = {}
-for n in chunk_ns:
+def chunk_tables(n):
     rng = np.random.default_rng(n)
     x, gamma = rng.normal(size=(n, 2)), rng.normal(size=n)
     cands = policytree._split_candidates(x[:, 1])
     a_g = np.searchsorted(cands, x[:, 1], side="left")
     c_g = np.cumsum(np.bincount(a_g, weights=gamma, minlength=len(cands)))
     order = np.argsort(x[:, 0], kind="stable")
-    tables = lambda: policytree._chunk_tables(order, a_g, c_g, gamma)
-    out["chunk_tables_peak_mb"][n] = peak_mb(tables)
-    digest = hashlib.sha256(b"".join(part.tobytes() for part in tables()))
-    out["digest"][f"chunk_tables_{n}"] = digest.hexdigest()
-print(json.dumps(out))
-"""
+    return (lambda: policytree._chunk_tables(order, a_g, c_g, gamma),
+            lambda parts: b"".join(part.tobytes() for part in parts))
+
+# name, fixture, sizes n (None: one fixture), timed calls after one warm-up call (the median
+# is kept), whether the tracemalloc peak of one more call is taken, and a function mapping n
+# to (the call, a map from its result to the bytes digested).
+STAGES = [
+    ("match", f"match_units(data, fit_mahalanobis(data.x), 5) {SIM}",
+     (200, 500, 1000, 2000), 3, True, lambda n: matched(sim(n))),
+    ("search", f"search_tree(data.x, gamma, 2) {SIM}, gamma from impute_scores(data, "
+     "LearnConfig(m=5, correction='none'))",
+     (200, 500, 1000, 2000), 3, False, lambda n: searched(sim(n), "none")),
+    ("lasso", f"fit_lasso_per_arm(data) {SIM}",
+     (200, 500, 1000, 2000), 3, False, lambda n: lassoed(sim(n))),
+    ("study_match", f"match_units(fold, fit_mahalanobis(fold.x), 5) {FOLD}",
+     None, 3, True, lambda _: matched(study(True))),
+    ("study_search", f"search_tree(fold.x, gamma, 2, eligible) {FOLD}, black and hispanic "
+     "barred from splits, gamma from impute_scores(fold, LearnConfig(m=5, correction='ols'))",
+     None, 101, False, study_searched),
+    ("lasso_study8", "fit_lasso_per_arm(data) on all 445 rows of bench/nsw_shaped.py's seed-0 "
+     "file, eight covariates", None, 3, False, lambda _: lassoed(study(False))),
+    ("study_load", "load_csv(path, CsvSchema('treat', 're78', ())) on "
+     "nsw_shaped.write_csv(path, 0), 445 rows", None, 101, False, loaded),
+    ("job_peak", "run_experiment([SimulationSpec(1, 'linear', 'tree', 500)], ['mb-m5'], 1, "
+     "seed=1000)", None, 0, True, job),
+    ("chunk_tables", "policytree._chunk_tables(order, a_g, c_g, gamma) on x, gamma = N(0, 1) "
+     "draws of default_rng(n), x of two columns: roots on the first, chunks on the second",
+     (8000, 32000), 0, True, chunk_tables),
+]
+
+def sample():
+    records = []
+    for name, fixture, sizes, calls, peak, build in STAGES:
+        for n in sizes or (None,):
+            call, digested = build(n)
+            result, times, peak_mb = call(), [], None
+            for _ in range(calls):
+                start = time.perf_counter()
+                result = call()
+                times.append(time.perf_counter() - start)
+            if peak:
+                tracemalloc.start()
+                call()
+                peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+                tracemalloc.stop()
+            records.append({
+                "stage": name if n is None else f"{name}_{n}", "fixture": fixture,
+                "calls": calls, "s": statistics.median(times) if times else None,
+                "peak_mb": peak_mb, "digest": hashlib.sha256(digested(result)).hexdigest(),
+            })
+    return records
+
+if __name__ == "__main__":
+    print(json.dumps(sample()))
+'''
 
 # Runs in a fresh process: imports the command-line module and prints its ru_maxrss (KiB).
 IMPORT_CODE = "import resource, mbpolicy.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+
+
+def fresh_table(workloads: list[str], work: Path) -> dict:
+    """name: (fixture, argv) of each process timed from outside, interpreter start included;
+    a process that prints a number prints its ru_maxrss in KiB."""
+    setup = f"bench/run.py --setup-only --seconds 0 --seed {SEEDS[0]} --workload"
+    cli = ("`import mbpolicy.cli`, and its ru_maxrss", [sys.executable, "-c", IMPORT_CODE])
+    return {"import_cli": cli} | {
+        f"setup_{w}": (f"`{setup} {w}`: the import and inputs that setup_s times",
+                       [sys.executable, *setup.split(), w, "--work", str(work / w)])
+        for w in workloads
+    }
 
 
 def env_for(checkout: Path) -> dict:
@@ -200,6 +215,10 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def alternating(sides: dict, k: int) -> list[str]:
+    return list(sides) if k % 2 == 0 else list(sides)[::-1]
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -215,7 +234,11 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(sides: dict, records: dict) -> dict:
-    """Per workload: spread of each metric per side, pairs won, failures, output lines."""
+    """Per workload: spread of each metric per side, pairs won, failures, output lines.
+
+    A run's deterministic lines are means over the ops it completed, so they are
+    grouped by op count and the sides compared at each op count both reached.
+    """
     summary = {}
     for workload, runs in records.items():
         by_side = {side: [r for r in runs if r["side"] == side] for side in sides}
@@ -228,8 +251,16 @@ def summarize(sides: dict, records: dict) -> dict:
             )
             entry[metric] = {s: spread(values[s]) for s in sides} | {"pairs_won_by_change": won}
         entry["ops_failed"] = {s: sum(r["result"]["failed"] for r in by_side[s]) for s in sides}
+        lines = {s: {} for s in sides}
+        for r in runs:
+            lines[r["side"]].setdefault(r["context"]["ops"], set()).update(r["deterministic"])
+        common = sorted(lines["parent"].keys() & lines["change"].keys())
         entry["deterministic_lines"] = {
-            s: sorted({line for r in by_side[s] for line in r["deterministic"]}) for s in sides
+            s: {ops: sorted(v) for ops, v in sorted(lines[s].items())} for s in sides
+        }
+        entry["deterministic_agree"] = {
+            "op_counts": common,
+            "agree": all(lines["parent"][k] == lines["change"][k] for k in common) if common else None,
         }
         summary[workload] = entry
     return summary
@@ -239,10 +270,9 @@ def end_to_end(sides: dict, workloads: list[str], seconds: float) -> dict:
     """Runs and summaries keyed by seed; each pair runs both seeds."""
     records = {seed: {workload: [] for workload in workloads} for seed in SEEDS}
     for pair in range(PAIRS):
-        order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for seed in SEEDS:
             for workload in workloads:
-                for side in order:
+                for side in alternating(sides, pair):
                     record = bench_run(sides[side], workload, seed, seconds)
                     records[seed][workload].append({"pair": pair + 1, "side": side, **record})
                     print(f"seed {seed} pair {pair + 1} {workload} {side}: "
@@ -257,85 +287,50 @@ def end_to_end(sides: dict, workloads: list[str], seconds: float) -> dict:
     }
 
 
+def stage_sample(checkout: Path) -> list[dict]:
+    """One process on the checkout that times, peaks and digests every row of STAGES."""
+    return json.loads(run([sys.executable, "-c", STAGE_CODE], checkout))
+
+
 def stages(sides: dict) -> dict:
     samples = {side: [] for side in sides}
-    imports = {side: {"wall_s": [], "maxrss_mb": []} for side in sides}
     for k in range(STAGE_RUNS):
-        for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-            ns = (",".join(map(str, STAGE_NS)), ",".join(map(str, CHUNK_NS)))
-            code = [sys.executable, "-c", STAGE_CODE, *ns]
-            samples[side].append(json.loads(run(code, sides[side])))
-            start = time.perf_counter()
-            maxrss_kib = int(run([sys.executable, "-c", IMPORT_CODE], sides[side]))
-            imports[side]["wall_s"].append(time.perf_counter() - start)
-            imports[side]["maxrss_mb"].append(maxrss_kib / 1024)
-    out = {
-        "fixture": "generate(SimulationSpec(1, 'linear', 'tree', n, seed=1010)), p=4; "
-        "match_units(data, fit_mahalanobis(data.x), 5); search_tree(data.x, gamma, 2) with gamma "
-        "from impute_scores(data, LearnConfig(m=5, correction='none')); fit_lasso_per_arm(data)",
-        "runs_per_side": STAGE_RUNS,
-        "by_n": {},
-    }
-    for n in map(str, STAGE_NS):
-        entry = {}
-        for stage in STAGES:
-            for side in sides:
-                times = [sample[stage][n] for sample in samples[side]]
-                entry[f"{stage}_{side}_median_s"] = statistics.median(times)
-                entry[f"{stage}_{side}_runs_s"] = times
+        for side in alternating(sides, k):
+            samples[side].append(stage_sample(sides[side]))
+    out = {"runs_per_side": STAGE_RUNS}
+    for i, row in enumerate(samples["change"][0]):
+        entry = {key: row[key] for key in ("fixture", "calls")}
         for side in sides:
-            peaks = [sample["match_peak_mb"][n] for sample in samples[side]]
-            entry[f"match_peak_{side}_median_mb"] = statistics.median(peaks)
-        digests = {sample["digest"][n] for side in sides for sample in samples[side]}
+            records = [sample[i] for sample in samples[side]]
+            entry[side] = {
+                metric: spread([record[metric] for record in records])
+                for metric in ("s", "peak_mb") if row[metric] is not None
+            }
+        digests = {sample[i]["digest"] for side in sides for sample in samples[side]}
         entry["same_outputs"] = len(digests) == 1
-        out["by_n"][n] = entry
-    fixtures = {
-        "study_match": "match_units(fold, fit_mahalanobis(fold.x), 5) on the 356 rows of "
-        "bench/nsw_shaped.py's seed-0 file whose index is not a multiple of 5, eight covariates",
-        "study_search": "search_tree(fold.x, gamma, 2, eligible) on that fold with black and "
-        "hispanic barred from splits, gamma from impute_scores(fold, LearnConfig(m=5, "
-        "correction='ols')); median of 101 calls",
-        "lasso_study8": "fit_lasso_per_arm(data) on all 445 rows of that file, eight covariates",
-        "study_load": "load_csv(path, CsvSchema('treat', 're78', ())) on "
-        "nsw_shaped.write_csv(path, 0), 445 rows; median of 101 calls",
-    }
-    for stage, fixture in fixtures.items():
-        study = {"fixture": fixture}
-        for side in sides:
-            times = [sample[stage] for sample in samples[side]]
-            study[f"{side}_median_s"] = statistics.median(times)
-            study[f"{side}_runs_s"] = times
-            if stage == "study_match":
-                peaks = [sample["match_peak_mb"][stage] for sample in samples[side]]
-                study[f"{side}_peak_median_mb"] = statistics.median(peaks)
-        digests = {sample["digest"][stage] for side in sides for sample in samples[side]}
-        study["same_outputs"] = len(digests) == 1
-        out[stage] = study
-    out["job_peak"] = {
-        "fixture": "tracemalloc peak of run_experiment([SimulationSpec(1, 'linear', 'tree', "
-        "500)], ['mb-m5'], 1, seed=1000) after one untraced run",
-        **{side: spread([sample["job_peak_mb"] for sample in samples[side]]) for side in sides},
-    }
-    out["chunk_tables"] = {
-        "fixture": "tracemalloc peak of policytree._chunk_tables(order, a_g, c_g, gamma) on x, "
-        "gamma = N(0, 1) draws of default_rng(n), x of two columns: roots on the first, chunks "
-        "on the second",
-    }
-    for n in map(str, CHUNK_NS):
-        entry = {}
-        for side in sides:
-            peaks = [sample["chunk_tables_peak_mb"][n] for sample in samples[side]]
-            entry[f"{side}_peak_median_mb"] = statistics.median(peaks)
-        key = f"chunk_tables_{n}"
-        digests = {sample["digest"][key] for side in sides for sample in samples[side]}
-        entry["same_outputs"] = len(digests) == 1
-        out["chunk_tables"][n] = entry
-    out["import_cli"] = {
-        "fixture": "a fresh process running `import mbpolicy.cli`: wall time around it, "
-        "interpreter start included, and its own ru_maxrss",
-        **{side: {k: spread(v) for k, v in imports[side].items()} for side in sides},
-    }
+        out[row["stage"]] = entry
     return out
+
+
+def fresh_processes(sides: dict, workloads: list[str]) -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        table = fresh_table(workloads, Path(work))
+        runs = {name: {side: {"wall_s": [], "maxrss_mb": []} for side in sides} for name in table}
+        for k in range(FRESH_RUNS):
+            for name, (_, argv) in table.items():
+                for side in alternating(sides, k):
+                    start = time.perf_counter()
+                    printed = run(argv, sides[side]).strip()
+                    runs[name][side]["wall_s"].append(time.perf_counter() - start)
+                    if printed:
+                        runs[name][side]["maxrss_mb"].append(int(printed) / 1024)
+    return {"runs_per_side": FRESH_RUNS} | {
+        name: {"fixture": fixture} | {
+            side: {key: spread(values) for key, values in runs[name][side].items() if values}
+            for side in sides
+        }
+        for name, (fixture, _) in table.items()
+    }
 
 
 def tier1(checkout: Path) -> dict:
@@ -376,6 +371,7 @@ def main() -> int:
     context = next(iter(report["end_to_end"].values()))["pairs"][workloads[0]][0]["context"]
     report["machine"] = {k: context[k] for k in ("nproc", "cpu", "python", "numpy", "blas_threads")}
     report["stages"] = stages(sides)
+    report["fresh_processes"] = fresh_processes(sides, workloads)
     digest = ROOT / "scripts" / "output_digest.py"
     report["output_digest"] = {
         s: run([sys.executable, str(digest), "--root", str(d)], ROOT).split()[-1]

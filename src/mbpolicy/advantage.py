@@ -120,7 +120,6 @@ def advantage_linear_form(
     the same matches; exposed separately because the weight on Y_i makes the
     estimator's stability properties visible.
     """
-    signs = _signed(assignments, data.n)
     _check_fresh(data, matches)
     return float(np.mean(_outcome_weights(data, matches, assignments) * data.y))
 

@@ -45,6 +45,7 @@ from math import isqrt
 
 import numpy as np
 
+from .advantage import AipwScores
 from .dataset import (
     ObservationalDataset, _check_choice, _check_features, _check_int, _check_names, _freeze,
 )
@@ -711,13 +712,14 @@ def impute_scores(
 def learn_policy(
     data: ObservationalDataset,
     config: LearnConfig,
-    imputed: ImputedPotentialOutcomes | None = None,
+    imputed: ImputedPotentialOutcomes | AipwScores | None = None,
 ) -> TreePolicy:
     """Full pipeline: metric, matching, optional outcome model, imputation, search.
 
     Deterministic given (data, config); the only randomness is the seeded
-    lasso cross-validation shuffle. Pass a precomputed imputation to reuse it
-    (e.g. when the per-unit scores are also being reported).
+    lasso cross-validation shuffle. Pass precomputed scores, any object with
+    a per-unit `gamma` vector, to run the search stage alone on them (e.g. an
+    imputation whose scores are also being reported, or doubly robust scores).
     """
     if imputed is None:
         imputed = impute_scores(data, config)

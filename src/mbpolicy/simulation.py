@@ -33,7 +33,8 @@ from .dataset import (
 )
 from .evaluation import fit_linear_probability
 from .outcome_models import fit_ols_per_arm
-from .policytree import LearnConfig, TreePolicy, evaluate_policy, learn_policy, search_tree
+from .policytree import LearnConfig, TreePolicy, evaluate_policy, learn_policy
+from .policytree import search_tree  # noqa: F401  (bench/run.py traces simulation.search_tree)
 from .seeding import _SEED_HIGH, derive_seed, philox_rng
 
 __all__ = [
@@ -227,14 +228,13 @@ def learn_with_method(
     The matching methods run the impute-then-search pipeline; aipw-tree scores
     units with the doubly robust formula built from this package's plug-in
     nuisances (linear-probability propensity, quadratic OLS outcome model) and
-    searches the same tree class on those scores.
+    passes those scores to the same pipeline's search stage.
     """
     _check_methods([method])
     if method == "aipw-tree":
         e_hat = fit_linear_probability(data)
         scores = aipw_scores(data, e_hat, fit_ols_per_arm(data, "quadratic"))
-        tree = search_tree(data.x, scores.gamma, depth, data.eligible_features)
-        return replace(tree, feature_names=data.feature_names)
+        return learn_policy(data, LearnConfig(depth=depth), scores)
     config = replace(METHODS[method], depth=depth, seed=seed)
     return learn_policy(data, config)
 

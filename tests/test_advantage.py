@@ -112,6 +112,16 @@ class TestLinearForm:
         matches = match_units(data, fit_mahalanobis(data.x), m=2)
         assert advantage_linear_form(data, matches, np.ones(20, dtype=int)) == 0.0
 
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [(np.full(20, 2), "only 0 and 1"), (np.ones(19, dtype=int), "expected")],
+    )
+    def test_rejects_invalid_assignments(self, assignments, message):
+        data = random_dataset(np.random.default_rng(47), 20, 2, min_arm=3)
+        matches = match_units(data, fit_mahalanobis(data.x), m=2)
+        with pytest.raises(ValueError, match=message):
+            advantage_linear_form(data, matches, assignments)
+
 
 def duplicated_covariate_data(rng, half_n, p, y_fn):
     """Every covariate row appears once per arm, so matching discrepancy is zero."""

@@ -1,0 +1,89 @@
+"""The measurement harness scripts/bench_pairs.py: its stage table and its end-to-end summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def stage_table(bench_pairs):
+    """STAGES as the stage process defines it, without running a stage."""
+    namespace = {"__name__": "stage_table"}
+    exec(bench_pairs.STAGE_CODE, namespace)
+    return namespace["STAGES"]
+
+
+def test_stage_names_are_unique(stage_table):
+    names = [row[0] for row in stage_table]
+    assert len(names) == len(set(names))
+    keys = [name if sizes is None else f"{name}_{n}" for name, _, sizes, *_ in stage_table
+            for n in sizes or (None,)]
+    assert len(keys) == len(set(keys))
+
+
+def test_every_stage_has_fixture_text(stage_table):
+    for name, fixture, sizes, calls, peak, build in stage_table:
+        assert isinstance(fixture, str) and fixture.strip(), name
+        assert calls > 0 or peak, f"{name} measures nothing"
+        assert callable(build), name
+
+
+def test_fresh_processes_cover_import_and_every_setup(bench_pairs, tmp_path):
+    table = bench_pairs.fresh_table(["sim-replicate", "study-cv"], tmp_path)
+    assert list(table) == ["import_cli", "setup_sim-replicate", "setup_study-cv"]
+    argv = table["setup_study-cv"][1]
+    assert argv[1:] == [
+        "bench/run.py", "--setup-only", "--seconds", "0", "--seed", "1",
+        "--workload", "study-cv", "--work", str(tmp_path / "study-cv"),
+    ]
+
+
+def record(side, ops, regret):
+    metrics = {name: {"value": 1.0} for name in ("setup_s", "ops_per_s", "op_p50_s", "peak_rss_mb")}
+    return {
+        "side": side,
+        "result": {"metrics": metrics, "failed": 0},
+        "context": {"ops": ops},
+        "deterministic": [f"w mean_regret = {regret!r} (deterministic)"],
+    }
+
+
+def test_summarize_groups_deterministic_lines_by_op_count(bench_pairs):
+    sides = {"parent": None, "change": None}
+    runs = [
+        record("parent", 56, 0.15443), record("change", 56, 0.15443),
+        record("parent", 70, 0.16004), record("change", 70, 0.16004),
+        record("parent", 70, 0.16004), record("change", 63, 0.158),
+    ]
+    entry = bench_pairs.summarize(sides, {"w": runs})["w"]
+    assert entry["deterministic_lines"]["parent"] == {
+        56: ["w mean_regret = 0.15443 (deterministic)"],
+        70: ["w mean_regret = 0.16004 (deterministic)"],
+    }
+    assert sorted(entry["deterministic_lines"]["change"]) == [56, 63, 70]
+    # different means at different op counts are not a difference between the sides
+    assert entry["deterministic_agree"] == {"op_counts": [56, 70], "agree": True}
+
+
+def test_summarize_reports_sides_that_differ_at_one_op_count(bench_pairs):
+    sides = {"parent": None, "change": None}
+    runs = [
+        record("parent", 56, 0.15443), record("change", 56, 0.15443),
+        record("parent", 70, 0.16004), record("change", 70, 0.16005),
+    ]
+    entry = bench_pairs.summarize(sides, {"w": runs})["w"]
+    assert entry["deterministic_agree"] == {"op_counts": [56, 70], "agree": False}
+    no_common = [record("parent", 56, 0.15443), record("change", 70, 0.16004)] * 2
+    entry = bench_pairs.summarize(sides, {"w": no_common})["w"]
+    assert entry["deterministic_agree"] == {"op_counts": [], "agree": None}

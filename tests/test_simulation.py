@@ -13,6 +13,7 @@ import pytest
 from mbpolicy import (
     METHODS,
     MonteCarloEstimate,
+    PolicyLearningError,
     ReplicateResult,
     SimulationSpec,
     TreePolicy,
@@ -28,7 +29,7 @@ from mbpolicy import (
     write_summary_csv,
     write_timings_csv,
 )
-from mbpolicy import simulation
+from mbpolicy import policytree, simulation
 from mbpolicy.seeding import philox_rng
 
 
@@ -269,6 +270,16 @@ class TestLearnWithMethod:
         assert tree.depth == 1
         assert tree.feature_names == ("x1", "x2", "x3", "x4")
         assert evaluate_policy(tree, data.x).shape == (120,)
+
+    def test_aipw_tree_search_is_the_pipeline_search_stage(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise ValueError("search failed")
+
+        monkeypatch.setattr(policytree, "search_tree", fails)
+        data, _ = generate(spec(n=120, seed=41))
+        with pytest.raises(PolicyLearningError) as caught:
+            learn_with_method(data, "aipw-tree", seed=0)
+        assert caught.value.stage == "search"
 
     def test_matching_method_respects_depth(self):
         data, _ = generate(spec(n=80, seed=42))
