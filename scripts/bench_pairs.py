@@ -17,10 +17,11 @@ It runs, in this order, alternating which side goes first:
   output lines, which are compared between sides at equal op counts only;
 - stages: STAGE_RUNS processes per side, each running STAGE_CODE, which
   times, peaks and digests every row of its STAGES table (the fixture of each
-  row is written there and copied into the report);
+  row is written there and copied into the report); the digest rows hold the
+  outputs a change keeps byte-identical, and output_digest hashes their
+  digests into one SHA-256 per side;
 - fresh processes: FRESH_RUNS rounds of the processes that fresh_table names,
   each timed from outside, interpreter start included;
-- `scripts/output_digest.py --root` on each side;
 - the tier-1 test run on each side, with its wall time.
 
 BLAS runs on one thread throughout. Medians, quartiles (inclusive method)
@@ -30,6 +31,7 @@ and the pairs won by the change are computed for every end-to-end metric.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -40,7 +42,6 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
 BETTER = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_s": "lower", "peak_rss_mb": "lower"}
 PAIRS = 10
 SEEDS = (1, 2)
@@ -51,13 +52,16 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 # Runs inside each checkout and prints one JSON record per (row, size) of STAGES: its key,
 # fixture, timed calls, median seconds, tracemalloc peak in MB and the SHA-256 of its result.
 STAGE_CODE = r'''
-import functools, hashlib, json, pathlib, statistics, sys, tempfile, time, tracemalloc
+import contextlib, functools, hashlib, io, itertools, json, os, pathlib, statistics, sys
+import tempfile, time, tracemalloc
 import numpy as np
 from mbpolicy import (
-    CsvSchema, LearnConfig, ObservationalDataset, fit_lasso_per_arm, fit_mahalanobis,
-    impute_scores, load_csv, match_units, search_tree,
+    CsvSchema, LearnConfig, ObservationalDataset, advantage_linear_form, aipw_scores,
+    decompose_advantage, estimate_conditional_bias, fit_lasso_per_arm, fit_linear_probability,
+    fit_mahalanobis, fit_ols_per_arm, impute_bias_corrected, impute_scores, load_csv,
+    match_units, predict_matrix, search_tree,
 )
-from mbpolicy import policytree, simulation
+from mbpolicy import cli, policytree, simulation
 from mbpolicy.simulation import SimulationSpec, generate
 
 SIM = "on generate(SimulationSpec(1, 'linear', 'tree', n, seed=1010)), p=4"
@@ -124,6 +128,87 @@ def chunk_tables(n):
     return (lambda: policytree._chunk_tables(order, a_g, c_g, gamma),
             lambda parts: b"".join(part.tobytes() for part in parts))
 
+DESIGNS = list(itertools.product(simulation.SCENARIOS, simulation.MAIN_EFFECTS,
+                                 simulation.CONTRASTS))
+
+def item(name, payload):
+    return name.encode() + b"\0" + payload + b"\0"
+
+def experiment(seed):
+    specs = [SimulationSpec(1, "linear", "tree", 500), SimulationSpec(5, "nonlinear", "nontree", 500)]
+
+    def items(rows):
+        for row in rows:
+            if row.error:
+                raise RuntimeError(f"{row.method} at seed {seed} failed: {row.error}")
+        return b"".join(
+            item(f"{row.propensity_scenario}/{row.main_effect}/{row.contrast}/{row.method}/{seed}",
+                 f"{row.value!r} {row.regret!r} {row.tree.to_json()}".encode())
+            for row in rows
+        )
+    return (lambda: simulation.run_experiment(specs, sorted(simulation.METHODS), 1, seed,
+                                              test_n=20_000, depth=2), items)
+
+def design(index):
+    spec = DESIGNS[index]
+
+    def call():
+        data, oracle = generate(SimulationSpec(*spec, 100, 7))
+        x, rule = data.x, oracle.optimal_rule(data.x)
+        arrays = (x, data.w, data.y, oracle.y0, oracle.y1, oracle.mu(x, 0), oracle.mu(x, 1),
+                  oracle.propensity(x), oracle.contrast(x), rule)
+        items = [item("design/{}/{}/{}".format(*spec), b"".join(a.tobytes() for a in arrays))]
+        model = fit_ols_per_arm(data, "quadratic")
+        scores = aipw_scores(data, fit_linear_probability(data),
+                             functools.partial(predict_matrix, model))
+        for m in (1, 5):
+            matches = match_units(data, fit_mahalanobis(x), m)
+            imputed = impute_bias_corrected(data, matches, model)
+            parts = decompose_advantage(data, matches, rule, oracle.mu)
+            floats = (
+                advantage_linear_form(data, matches, rule), parts.a_bar, parts.e_m, parts.b_m,
+                estimate_conditional_bias(data, matches, rule, model), scores.n_clipped,
+            )
+            arrays = (matches.matched_sets, matches.distances, imputed.y0, imputed.y1,
+                      scores.gamma, scores.e_hat)
+            items.append(item("estimators/{}/{}/{}/m{}".format(*spec, m),
+                              repr(floats).encode() + b"".join(a.tobytes() for a in arrays)))
+        return b"".join(items)
+    return call, lambda digested: digested
+
+def command_outputs(_):
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            work = pathlib.Path(tmp)
+
+            def outputs(name, *argv):
+                out = work / name.replace("/", "-")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([*argv, "--out", str(out)])
+                if code != 0:
+                    raise RuntimeError(f"{' '.join(argv)} exited {code}")
+                return item(name, (out / "outputs.sha256").read_bytes())
+
+            data = ["--data", str(nsw_shaped().write_csv(work / "nsw_shaped.csv", 0))]
+            items = [outputs(f"cv/{seed}", "evaluate", *data, "--cv", "--repeats", "1", "--seed",
+                             str(seed), "--method", "mb-lr-m5", "--exclude", "black,hispanic")
+                     for seed in range(8, 16)]
+            data += ["--covariates", "age,education,re74,re75"]
+            items.append(outputs("learn", "learn", *data, "--correction", "lasso", "--m", "5",
+                                 "--depth", "2"))
+            here = os.getcwd()
+            os.chdir(work)  # evaluation.json names a policy file as typed: keep that name fixed
+            try:
+                for propensity, policy in itertools.product(("proportions", "linear"),
+                                                            ("treat-all", "learn/policy.txt")):
+                    items.append(outputs(f"evaluate/{propensity}/{policy}", "evaluate", *data,
+                                         "--policy", policy, "--propensity", propensity))
+            finally:
+                os.chdir(here)
+            items.append(outputs("balance", "balance", *data))
+        return b"".join(items)
+    return call, lambda digested: digested
+
 # name, fixture, sizes n (None: one fixture), timed calls after one warm-up call (the median
 # is kept), whether the tracemalloc peak of one more call is taken, and a function mapping n
 # to (the call, a map from its result to the bytes digested).
@@ -149,6 +234,18 @@ STAGES = [
     ("chunk_tables", "policytree._chunk_tables(order, a_g, c_g, gamma) on x, gamma = N(0, 1) "
      "draws of default_rng(n), x of two columns: roots on the first, chunks on the second",
      (8000, 32000), 0, True, chunk_tables),
+    # The digest rows: the outputs a change keeps byte-identical, as items name\0bytes\0.
+    ("digest_simulation", "the run_experiment rows (value, regret, tree JSON) of all seven methods "
+     "on the sim-replicate settings (1, linear, tree, 500) and (5, nonlinear, nontree, 500), one "
+     "replicate at experiment seed n, test_n 20000", (1000, 1001, 1002), 1, False, experiment),
+    ("digest_design", "design n of the 20 (scenario, main effect, contrast): its seed-7 n = 100 "
+     "draw with its oracle's values, then at M = 1 and 5 the matches, imputation, advantage, its "
+     "decomposition, conditional bias and AIPW scores",
+     tuple(range(len(DESIGNS))), 1, False, design),
+    ("digest_cli", "outputs.sha256, on bench/nsw_shaped.py's seed-0 file, of `evaluate --cv "
+     "--method mb-lr-m5` at seeds 8-15 and `learn --correction lasso` (the study-cv and study-learn "
+     "ops), `evaluate --policy` (treat-all, learned) under each --propensity, and `balance`",
+     None, 1, False, command_outputs),
 ]
 
 def sample():
@@ -292,22 +389,29 @@ def stage_sample(checkout: Path) -> list[dict]:
     return json.loads(run([sys.executable, "-c", STAGE_CODE], checkout))
 
 
-def stages(sides: dict) -> dict:
-    samples = {side: [] for side in sides}
-    for k in range(STAGE_RUNS):
-        for side in alternating(sides, k):
-            samples[side].append(stage_sample(sides[side]))
+def differing_rows(samples: list[list[dict]]) -> list[str]:
+    """Keys of the stage rows whose digest is not the same in every sample."""
+    return [rows[0]["stage"] for rows in zip(*samples) if len({row["digest"] for row in rows}) > 1]
+
+
+def output_digest(sample: list[dict]) -> str:
+    """One SHA-256 over the digests of a sample's digest rows, in table order."""
+    digests = "".join(row["digest"] for row in sample if row["stage"].startswith("digest_"))
+    return hashlib.sha256(digests.encode()).hexdigest()
+
+
+def stages(samples: dict) -> dict:
+    differing = differing_rows([sample for runs in samples.values() for sample in runs])
     out = {"runs_per_side": STAGE_RUNS}
     for i, row in enumerate(samples["change"][0]):
         entry = {key: row[key] for key in ("fixture", "calls")}
-        for side in sides:
-            records = [sample[i] for sample in samples[side]]
+        for side, runs in samples.items():
+            records = [sample[i] for sample in runs]
             entry[side] = {
                 metric: spread([record[metric] for record in records])
                 for metric in ("s", "peak_mb") if row[metric] is not None
             }
-        digests = {sample[i]["digest"] for side in sides for sample in samples[side]}
-        entry["same_outputs"] = len(digests) == 1
+        entry["same_outputs"] = row["stage"] not in differing
         out[row["stage"]] = entry
     return out
 
@@ -370,13 +474,13 @@ def main() -> int:
     report["end_to_end"] = end_to_end(sides, workloads, benchmark["run_seconds"])
     context = next(iter(report["end_to_end"].values()))["pairs"][workloads[0]][0]["context"]
     report["machine"] = {k: context[k] for k in ("nproc", "cpu", "python", "numpy", "blas_threads")}
-    report["stages"] = stages(sides)
+    samples = {side: [] for side in sides}
+    for k in range(STAGE_RUNS):
+        for side in alternating(sides, k):
+            samples[side].append(stage_sample(sides[side]))
+    report["stages"] = stages(samples)
     report["fresh_processes"] = fresh_processes(sides, workloads)
-    digest = ROOT / "scripts" / "output_digest.py"
-    report["output_digest"] = {
-        s: run([sys.executable, str(digest), "--root", str(d)], ROOT).split()[-1]
-        for s, d in sides.items()
-    }
+    report["output_digest"] = {side: output_digest(runs[0]) for side, runs in samples.items()}
     report["tier1"] = {"command": " ".join(["PYTHONPATH=src python"] + TIER1[1:])}
     report["tier1"] |= {s: tier1(d) for s, d in sides.items()}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -80,10 +80,6 @@ class AipwScores:
             raise ValueError("AIPW scores must be finite")
         _freeze(self, gamma=gamma, e_hat=e_hat)
 
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
 
 def _signed(assignments: np.ndarray, n: int) -> np.ndarray:
     """Validate a 0/1 assignment vector and return 2*pi - 1 as floats."""

@@ -39,6 +39,34 @@ def test_every_stage_has_fixture_text(stage_table):
         assert callable(build), name
 
 
+def test_digest_rows_keep_the_item_order(stage_table):
+    keys = [name if sizes is None else f"{name}_{n}" for name, _, sizes, *_ in stage_table
+            for n in sizes or (None,) if name.startswith("digest_")]
+    assert keys == [
+        *(f"digest_simulation_{seed}" for seed in (1000, 1001, 1002)),
+        *(f"digest_design_{index}" for index in range(20)),
+        "digest_cli",
+    ]
+    # each design row: the draw, then its estimators at M = 1 and M = 5
+    build = next(row[-1] for row in stage_table if row[0] == "digest_design")
+    call, digested = build(0)
+    payload = digested(call())
+    assert payload.startswith(b"design/1/linear/tree\0")
+    m1 = payload.index(b"\0estimators/1/linear/tree/m1\0")
+    assert 0 < m1 < payload.index(b"\0estimators/1/linear/tree/m5\0")
+
+
+def test_differing_rows_flags_one_differing_digest(bench_pairs):
+    sample = [{"stage": "search_200", "digest": "a"}, {"stage": "digest_cli", "digest": "b"}]
+    changed = [sample[0], {"stage": "digest_cli", "digest": "c"}]
+    assert bench_pairs.differing_rows([sample, sample, sample]) == []
+    assert bench_pairs.differing_rows([sample, changed, sample]) == ["digest_cli"]
+    # the combined output digest moves with a digest row only
+    timed = [{"stage": "search_200", "digest": "z"}, sample[1]]
+    assert bench_pairs.output_digest(timed) == bench_pairs.output_digest(sample)
+    assert bench_pairs.output_digest(changed) != bench_pairs.output_digest(sample)
+
+
 def test_fresh_processes_cover_import_and_every_setup(bench_pairs, tmp_path):
     table = bench_pairs.fresh_table(["sim-replicate", "study-cv"], tmp_path)
     assert list(table) == ["import_cli", "setup_sim-replicate", "setup_study-cv"]

@@ -93,6 +93,16 @@ class TestSimulate:
             ])
         assert excinfo.value.code == 2
 
+    def test_non_integer_reps_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(simulate_args(tmp_path / "run", extra=["--reps", "x"]))
+        assert excinfo.value.code == 2
+        assert "--reps: 'x' is not an integer" in capsys.readouterr().err
+
+    def test_all_replicates_failed_exits_1(self, tmp_path, capsys):
+        assert main(simulate_args(tmp_path / "run", extra=["--n", "1"])) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "all replicates failed"
+
     def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
         code = main(simulate_args(tmp_path / "x", extra=["--method", "forest"]))
         assert code == 2

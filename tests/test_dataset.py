@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -8,16 +9,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mbpolicy import (
+    AipwScores,
+    CrossValReport,
     CsvSchema,
+    ImputedPotentialOutcomes,
     LearnConfig,
+    MahalanobisMetric,
     ObservationalDataset,
+    OutcomeModel,
     SimulationSpec,
     TreePolicy,
     constant_policy,
     cross_validate,
+    evaluate_policy,
     fit_lasso_per_arm,
     fit_mahalanobis,
     fit_ols_per_arm,
+    generate,
     load_csv,
     match_units,
     normalized_differences,
@@ -92,6 +100,12 @@ class TestLoadCsv:
         bare = write_csv(tmp_path, "treat,re78\n1,5.0\n0,4.0\n", name="bare.csv")
         with pytest.raises(ValueError, match=f"^{re.escape(str(bare))}: no covariate column"):
             load_csv(bare, CsvSchema("treat", "re78", ()))
+
+    def test_one_data_row_is_too_few(self, tmp_path):
+        path = write_csv(tmp_path, "w,y,a,b\n1,5.0,0,10\n")
+        message = f"{path}: found 1 data rows, need at least 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(path, SCHEMA)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -505,6 +519,41 @@ PARAMETER_PROBES = [
         RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "b"), eligible_features=3)),
 ]
 
+# (call, whole message): the shape, length and finiteness checks of the value types and the search
+VALUE_CHECKS = [
+    (lambda: rule_stump(features=np.array([0, 1])), "expected 1 internal nodes for depth 1"),
+    (lambda: rule_stump(leaf_actions=np.array([0, 1, 1])), "expected 2 leaves for depth 1"),
+    (lambda: rule_stump(thresholds=np.array([np.nan])), "thresholds must not be NaN"),
+    (lambda: search_tree(np.zeros((0, 2)), np.zeros(0), 1), "need at least one row"),
+    (lambda: search_tree(RULE_DATA.x, RULE_GAMMA[:7], 1), "gamma has shape (7,), expected (8,)"),
+    (lambda: search_tree(RULE_DATA.x * [np.nan, 1.0], RULE_GAMMA, 1), "x and gamma must be finite"),
+    (lambda: evaluate_policy(rule_stump(), RULE_DATA.x * [np.nan, 1.0]), "x must be finite"),
+    (lambda: AipwScores(gamma=np.zeros(3), e_hat=np.full(2, 0.5), n_clipped=0),
+     "gamma and e_hat must be equal-length vectors"),
+    (lambda: AipwScores(gamma=[0.0, np.inf], e_hat=[0.5, 0.5], n_clipped=0),
+     "AIPW scores must be finite"),
+    (lambda: ImputedPotentialOutcomes(y0=[0.0, 1.0], y1=[1.0]),
+     "y0 and y1 must be equal-length vectors"),
+    (lambda: dataclasses.replace(generate(RULE_SPEC)[1], y1=np.zeros(3)),
+     "y0 and y1 must be equal-length vectors"),
+    (lambda: OutcomeModel("linear", coef0=np.zeros(3), coef1=np.zeros(2)),
+     "coef0 and coef1 must be vectors of equal length"),
+    (lambda: MahalanobisMetric(v=np.zeros((2, 3)), ridge=0.0), "v must be square, got shape (2, 3)"),
+    (lambda: fit_mahalanobis(np.zeros(4)), "x must be 2-d, got shape (4,)"),
+    (lambda: ObservationalDataset(RULE_DATA.x[:, 0], RULE_DATA.w, RULE_DATA.y, ("a",)),
+     "x must be 2-d, got shape (8,)"),
+    (lambda: ObservationalDataset(RULE_DATA.x, RULE_DATA.w[:7], RULE_DATA.y, ("a", "b")),
+     "length mismatch: x has 8 rows, w has (7,), y has (8,)"),
+    (lambda: ObservationalDataset(RULE_DATA.x, RULE_DATA.w, RULE_DATA.y * np.nan, ("a", "b")),
+     "y contains missing or non-finite entries"),
+    (lambda: ObservationalDataset(RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a",)),
+     "2 covariate columns but 1 feature names"),
+    (lambda: ObservationalDataset(RULE_DATA.x, RULE_DATA.w, RULE_DATA.y, ("a", "a")),
+     "feature names must be unique"),
+    (lambda: CrossValReport(values=np.zeros((2, 2)), folds=5),
+     "values must be one per repeat, got shape (2, 2)"),
+]
+
 
 class TestParameterRules:
     @pytest.mark.parametrize("kind", ["bool", "float", "numpy-float", "below"])
@@ -523,6 +572,14 @@ class TestParameterRules:
     )
     def test_probe_names_the_parameter(self, parameter, call):
         with pytest.raises(ValueError, match=f"^{re.escape(parameter)} "):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message", VALUE_CHECKS,
+        ids=[f"{k}-{check[1].split()[0]}" for k, check in enumerate(VALUE_CHECKS)],
+    )
+    def test_malformed_value_gets_its_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
     def test_numpy_integers_are_stored_as_int(self):

@@ -233,9 +233,12 @@ class TestTreePolicyType:
             ('policy depth=1\neligible: 0\nnames: "q"\n', "line 3: names must be a JSON list"),
             ("policy depth=1\neligible: 0\nnames: [1]\n",
              "line 3: names must be a JSON list of strings"),
+            ("policy depth=1\neligible: 0\nif x[0] <= 1.0:\n  action 1\nelse:\n  action 0\nextra\n",
+             "line 7: trailing content after policy body"),
         ],
         ids=["empty", "header-only", "truncated", "depth-3", "bad-eligible", "null-names",
-             "bad-threshold", "bad-leaf", "object-names", "string-names", "number-names"],
+             "bad-threshold", "bad-leaf", "object-names", "string-names", "number-names",
+             "trailing-line"],
     )
     def test_malformed_text_names_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):

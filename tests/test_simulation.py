@@ -579,6 +579,24 @@ class TestOneJobPerReplicate:
         assert matching.error == ""
         assert self.fields(matching) == self.fields(alone)
 
+    def test_failed_evaluation_fails_only_its_method(self, monkeypatch):
+        settings, methods = [spec(1, "linear", "tree", n=40)], ["mb-m1", "mb-m5"]
+        _, alone = run_experiment(settings, methods, 1, seed=8, test_n=100)
+        evaluate = simulation.evaluate_policy
+        trees = []
+
+        def evaluate_first_fails(tree, x):
+            trees.append(tree)
+            if len(trees) == 1:
+                raise RuntimeError("no value")
+            return evaluate(tree, x)
+
+        monkeypatch.setattr(simulation, "evaluate_policy", evaluate_first_fails)
+        failed, kept = run_experiment(settings, methods, 1, seed=8, test_n=100)
+        assert failed.method == "mb-m1" and failed.error == "RuntimeError: no value"
+        assert np.isnan(failed.value) and np.isnan(failed.regret) and failed.tree is None
+        assert self.fields(kept) == self.fields(alone)
+
     def test_rows_ordered_by_setting_method_replicate_at_any_thread_count(self):
         settings = [spec(1, "linear", "tree", n=40), spec(3, "linear", "nontree", n=50)]
         methods = ["mb-m5", "mb-m1"]
