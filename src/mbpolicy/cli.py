@@ -390,12 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     learn.set_defaults(func=cmd_learn)
 
     ev = sub.add_parser("evaluate", parents=[data], help="value a policy on a CSV, single or CV")
-    ev.add_argument(
+    policy_or_cv = ev.add_mutually_exclusive_group()
+    policy_or_cv.add_argument(
         "--policy",
         default="treat-all",
         help="'treat-all', 'treat-none', or a policy file (.json or text form)",
     )
-    ev.add_argument("--cv", action="store_true", help="cross-validated learner value")
+    policy_or_cv.add_argument("--cv", action="store_true", help="cross-validated learner value")
     ev.add_argument("--method", choices=sorted(METHODS), default="mb-lasso-m5")
     ev.add_argument("--folds", type=at_least_two, default=5)
     ev.add_argument("--repeats", type=positive, default=100)

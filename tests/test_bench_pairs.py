@@ -1,27 +1,24 @@
-"""The measurement harness scripts/bench_pairs.py: its stage table and its end-to-end summary."""
+"""The measurement harness scripts/bench_pairs.py and the stage table scripts/stages.py it runs."""
 
-import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    import bench_pairs
+    return bench_pairs
 
 
 @pytest.fixture(scope="module")
-def stage_table(bench_pairs):
-    """STAGES as the stage process defines it, without running a stage."""
-    namespace = {"__name__": "stage_table"}
-    exec(bench_pairs.STAGE_CODE, namespace)
-    return namespace["STAGES"]
+def stage_table():
+    from stages import STAGES
+    return STAGES
 
 
 def test_stage_names_are_unique(stage_table):
@@ -65,6 +62,17 @@ def test_differing_rows_flags_one_differing_digest(bench_pairs):
     timed = [{"stage": "search_200", "digest": "z"}, sample[1]]
     assert bench_pairs.output_digest(timed) == bench_pairs.output_digest(sample)
     assert bench_pairs.output_digest(changed) != bench_pairs.output_digest(sample)
+
+
+def test_ci_and_the_harness_run_the_same_stage_file(bench_pairs, monkeypatch, tmp_path):
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = workflow.split("- name: Stage samples")[1].split("- name:")[0]
+    assert "scripts/stages.py" in step.splitlines()[0] and "bench_pairs" not in step
+    assert step.count("python scripts/stages.py >") == 3
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run", lambda *call: calls.append(call) or "[]")
+    assert bench_pairs.stage_sample(tmp_path) == []
+    assert calls == [([sys.executable, str(ROOT / "scripts" / "stages.py")], tmp_path)]
 
 
 def test_fresh_processes_cover_import_and_every_setup(bench_pairs, tmp_path):

@@ -283,6 +283,16 @@ class TestEvaluate:
         assert "--folds: must be an integer >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_policy_with_cv_is_a_usage_error(self, eval_csv, tmp_path, capsys):
+        # --cv values a learner, not a policy: a --policy beside it would go unread
+        out = tmp_path / "cv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--data", str(eval_csv), "--cv", "--repeats", "1", "--method",
+                  "mb-m5", "--policy", str(tmp_path / "does-not-exist.json"), "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "argument --policy: not allowed with argument --cv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cv_failures_are_written_per_fold(self, eval_csv, tmp_path, capsys):
         # four treated units: every training fold has fewer than mb-m5's five matches
         header, *rows = eval_csv.read_text().splitlines()
