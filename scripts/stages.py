@@ -171,6 +171,9 @@ STAGES = [
      (200, 500, 1000, 2000), 3, False, lambda n: searched(sim(n), "none")),
     ("lasso", f"fit_lasso_per_arm(data) {SIM}",
      (200, 500, 1000, 2000), 3, False, lambda n: lassoed(sim(n))),
+    ("lasso_design", "fit_lasso_per_arm(data) on the seed-7 n = 500 draw of design n of the 20 "
+     "(scenario, main effect, contrast)", tuple(range(len(DESIGNS))), 1, False,
+     lambda n: lassoed(generate(SimulationSpec(*DESIGNS[n], 500, 7))[0])),
     ("study_match", f"match_units(fold, fit_mahalanobis(fold.x), 5) {FOLD}",
      None, 3, True, lambda _: matched(study(True))),
     ("study_search", f"search_tree(fold.x, gamma, 2, eligible) {FOLD}, black and hispanic "

@@ -56,6 +56,10 @@ from .simulation import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# evaluate's learner flags, which only --cv reads, and their values when not given
+CV_DEFAULTS = {"method": "mb-lasso-m5", "folds": 5, "repeats": 100, "depth": 2}
+
 OUT_DIR_ENV = "MBPOLICY_OUT"
 
 BUDGETS = {
@@ -252,6 +256,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    given = [name for name in CV_DEFAULTS if getattr(args, name) is not None]
+    if given and not args.cv:  # before any file is written
+        print(f"error: argument --{given[0]}: only allowed with argument --cv", file=sys.stderr)
+        return EXIT_USAGE
+    for name, default in CV_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     data, parameters, inputs = _load_dataset(args)
     parameters.update(propensity=args.propensity, seed=args.seed, cv=args.cv)
     if args.cv:
@@ -397,10 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="'treat-all', 'treat-none', or a policy file (.json or text form)",
     )
     policy_or_cv.add_argument("--cv", action="store_true", help="cross-validated learner value")
-    ev.add_argument("--method", choices=sorted(METHODS), default="mb-lasso-m5")
-    ev.add_argument("--folds", type=at_least_two, default=5)
-    ev.add_argument("--repeats", type=positive, default=100)
-    ev.add_argument("--depth", type=int, choices=depths, default=2)
+    # read by --cv only; None when not given, so that one given without --cv is refused
+    cv_only = {name: f"with --cv (default: {value})" for name, value in CV_DEFAULTS.items()}
+    ev.add_argument("--method", choices=sorted(METHODS), help=cv_only["method"])
+    ev.add_argument("--folds", type=at_least_two, help=cv_only["folds"])
+    ev.add_argument("--repeats", type=positive, help=cv_only["repeats"])
+    ev.add_argument("--depth", type=int, choices=depths, help=cv_only["depth"])
     ev.add_argument(
         "--propensity",
         choices=("proportions", "linear"),

@@ -17,11 +17,21 @@ to CD_TOL otherwise; a step that runs out of CD_MAX_CYCLES issues a
 RuntimeWarning.
 
 CV folds are plain seeded shuffles (not treatment-stratified; fits are
-per-arm, so stratification has nothing to act on).
+per-arm, so stratification has nothing to act on). The fold paths only
+choose the penalty, so they solve each support A from a cached inverse of
+G[A,A], made on A's first solve in the path if A's Cholesky factor exists and
+the min/max of its squared diagonal is above FACTOR_GATE (else A stays on
+lstsq); the refit path that gives the coefficients always uses lstsq. If an
+arm's smallest CV error and the smallest at any other penalty are within
+TIE_TOL relative, its factored folds are solved again on lstsq alone before
+the penalty is chosen; so are they when a factored fold path runs out of CD
+cycles, and that pass warns. So the penalties, coefficients and warnings are
+those of lstsq alone.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -43,6 +53,17 @@ CD_MAX_CYCLES = 10_000
 KKT_TOL = 1e-9         # KKT tolerance of an exact support solve, times max(1, lambda)
 GRID_SIZE = 100
 GRID_RATIO = 1e-4      # smallest grid entry = GRID_RATIO * lambda_max
+FACTOR_GATE = 1e-8     # least min/max squared Cholesky diagonal of a support factored on a fold path
+TIE_TOL = 1e-6         # relative CV-error gap below which an arm's folds are rerun on lstsq
+
+
+class _FoldPath(threading.local):
+    """This thread's fold path being solved: the inverse (None: lstsq) of each support."""
+
+    factors: dict[bytes, np.ndarray | None] | None = None  # None outside a fold path
+
+
+_fold_path = _FoldPath()
 
 
 def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
@@ -195,9 +216,7 @@ def _solve_pattern(
     on = signs.nonzero()[0]
     b = np.zeros(len(signs))
     if len(on):
-        b[on] = np.linalg.lstsq(
-            gram.take(on, 0).take(on, 1), corr[on] - lam * signs[on], rcond=None
-        )[0]
+        b[on] = _support_solve(gram, on, corr[on] - lam * signs[on])
     gram_b = gram @ b
     grad = corr - gram_b
     if not (np.sign(b) == signs).all():
@@ -212,6 +231,35 @@ def _solve_pattern(
     ):
         return b, grad, None
     return b, grad, _fit_terms(b, gram_b, corr, y2)
+
+
+def _support_solve(gram: np.ndarray, on: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G[A,A]^-1 rhs on the support A = ``on``, by lstsq or, on a fold path, from A's factor.
+
+    On a fold path each support is factored on its first solve and every
+    solve of it multiplies by the cached inverse, unless the factor failed
+    `_gated_inverse`; such a support stays on lstsq.
+    """
+    factors = _fold_path.factors
+    if factors is not None:
+        key = on.tobytes()
+        if key not in factors:
+            factors[key] = _gated_inverse(gram.take(on, 0).take(on, 1))
+        if factors[key] is not None:
+            return factors[key] @ rhs
+    return np.linalg.lstsq(gram.take(on, 0).take(on, 1), rhs, rcond=None)[0]
+
+
+def _gated_inverse(sub: np.ndarray) -> np.ndarray | None:
+    """sub^-1 if its Cholesky factor L exists and min/max of L's squared diagonal
+    is above FACTOR_GATE, else None."""
+    try:
+        diag = np.linalg.cholesky(sub).diagonal().tolist()
+    except np.linalg.LinAlgError:
+        return None
+    if not min(diag) ** 2 > FACTOR_GATE * max(diag) ** 2:
+        return None
+    return np.linalg.inv(sub)
 
 
 def _accepts(terms: tuple[float, float] | None, lam: float, ceiling: float) -> bool:
@@ -275,6 +323,10 @@ def _moved_pattern(
         return None
     moved[j] = np.sign(grad[j])
     return moved
+
+
+class _Unconverged(Exception):
+    """A step of a factored fold path ran out of CD cycles."""
 
 
 def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -357,6 +409,8 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
                 beta, warm = b, terms
                 break
         else:
+            if _fold_path.factors is not None:
+                raise _Unconverged
             warnings.warn(
                 f"lasso penalty step {step} (lambda={float(lam)!r}) did not converge "
                 f"in {CD_MAX_CYCLES} cycles; last max coefficient change "
@@ -386,6 +440,43 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
     if grid.size > 1 and np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
     return grid
+
+
+def _cv_sse(
+    features: np.ndarray,
+    y_arm: np.ndarray,
+    fold_indices: list[np.ndarray],
+    grid: np.ndarray,
+    factored: bool,
+) -> np.ndarray:
+    """Validation squared error per penalty, summed over the folds in order.
+
+    With ``factored`` each fold path solves from cached support factors, and
+    one that runs out of CD cycles raises `_Unconverged` instead of warning.
+    """
+    cv_sse = np.zeros(len(grid))
+    for fold in fold_indices:
+        mask = np.ones(len(y_arm), dtype=bool)
+        mask[fold] = False
+        xs_tr, ctr, sc = _standardize(features[mask])
+        y_tr = y_arm[mask]
+        _fold_path.factors = {} if factored else None
+        try:
+            path = _lasso_path(xs_tr, y_tr - y_tr.mean(), grid)
+        finally:
+            _fold_path.factors = None
+        xs_val = (features[fold] - ctr) / sc
+        preds = y_tr.mean() + xs_val @ path.T  # (n_val, n_lambda)
+        cv_sse += np.sum((preds - y_arm[fold][:, None]) ** 2, axis=0)
+    return cv_sse
+
+
+def _near_tie(cv_sse: np.ndarray) -> bool:
+    """Whether the smallest CV error and the smallest at any other index are within TIE_TOL."""
+    if len(cv_sse) < 2:
+        return False
+    first, second = np.partition(cv_sse, 1)[:2]
+    return bool(second - first <= TIE_TOL * abs(first))
 
 
 def fit_lasso_per_arm(
@@ -418,16 +509,12 @@ def fit_lasso_per_arm(
         rng = np.random.default_rng([seed, w])
         perm = rng.permutation(n_w)
         fold_indices = np.array_split(perm, folds)
-        cv_sse = np.zeros(len(grid))
-        for fold in fold_indices:
-            mask = np.ones(n_w, dtype=bool)
-            mask[fold] = False
-            xs_tr, ctr, sc = _standardize(features[mask])
-            y_tr = y_arm[mask]
-            path = _lasso_path(xs_tr, y_tr - y_tr.mean(), grid)
-            xs_val = (features[fold] - ctr) / sc
-            preds = y_tr.mean() + xs_val @ path.T  # (n_val, n_lambda)
-            cv_sse += np.sum((preds - y_arm[fold][:, None]) ** 2, axis=0)
+        try:
+            cv_sse = _cv_sse(features, y_arm, fold_indices, grid, factored=True)
+        except _Unconverged:
+            cv_sse = None  # lstsq alone decides whether a step warns
+        if cv_sse is None or _near_tie(cv_sse):  # near-equal errors: choose as lstsq does
+            cv_sse = _cv_sse(features, y_arm, fold_indices, grid, factored=False)
         best = int(np.argmin(cv_sse / n_w))
 
         xs, ctr, sc = _standardize(features)

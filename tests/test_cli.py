@@ -293,6 +293,18 @@ class TestEvaluate:
         assert "argument --policy: not allowed with argument --cv" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--method", "mb-m1"), ("--folds", "3"), ("--repeats", "7"), ("--depth", "1"),
+    ])
+    def test_learner_flag_without_cv_is_a_usage_error(self, eval_csv, tmp_path, capsys, flag,
+                                                      value):
+        # only --cv reads the learner flags: a policy evaluation would drop them unrecorded
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--data", str(eval_csv), flag, value, "--out", str(out)])
+        assert code == 2
+        assert f"argument {flag}: only allowed with argument --cv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cv_failures_are_written_per_fold(self, eval_csv, tmp_path, capsys):
         # four treated units: every training fold has fewer than mb-m5's five matches
         header, *rows = eval_csv.read_text().splitlines()

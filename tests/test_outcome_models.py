@@ -1,5 +1,7 @@
 import importlib.util
 import itertools
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from mbpolicy import (
     fit_ols_per_arm,
     predict_matrix,
 )
-from mbpolicy import outcome_models
+from mbpolicy import outcome_models, simulation
 from mbpolicy.outcome_models import (
     _exact_on_support,
     _lasso_path,
@@ -22,6 +24,7 @@ from mbpolicy.outcome_models import (
     _standardize,
     default_lambda_grid,
 )
+from mbpolicy.simulation import SimulationSpec, generate
 
 import _oracles
 from _oracles import cd_exact_lasso_path, slow_lasso_path
@@ -626,3 +629,185 @@ class TestStepLoopReference:
             else:
                 first_failed.add("off-support KKT" if value is None else None)
         assert first_failed == {"signs", "support KKT", "off-support KKT", None}
+
+
+
+def lstsq_reference(monkeypatch, data, **kwargs):
+    """fit_lasso_per_arm with its fold and refit paths on the lstsq-only step loop of `_oracles`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(outcome_models, "_lasso_path", _oracles.pattern_first_lasso_path)
+        return fit_lasso_per_arm(data, **kwargs)
+
+
+def model_bytes(model):
+    return (model.coef0.tobytes() + model.coef1.tobytes()
+            + repr((model.lambda0, model.lambda1)).encode())
+
+
+SIM_DESIGNS = list(
+    itertools.product(simulation.SCENARIOS, simulation.MAIN_EFFECTS, simulation.CONTRASTS)
+)
+
+
+class TestFoldRoute:
+    """Fold paths solve from cached support factors; every output equals the lstsq route's."""
+
+    @pytest.mark.parametrize("n", [200, 500])
+    @pytest.mark.parametrize("design", [0, 3, 7, 10, 14, 19])
+    def test_fit_bytes_equal_lstsq_reference(self, design, n, monkeypatch):
+        data, _ = generate(SimulationSpec(*SIM_DESIGNS[design], n, 11))
+        reference = lstsq_reference(monkeypatch, data)
+        factored = []
+        gated_inverse = outcome_models._gated_inverse
+        monkeypatch.setattr(
+            outcome_models, "_gated_inverse",
+            lambda sub: factored.append(sub.shape) or gated_inverse(sub),
+        )
+        model = fit_lasso_per_arm(data)
+        assert factored  # the fold paths took the factored route
+        assert model_bytes(model) == model_bytes(reference)
+
+    def test_near_tie_takes_the_lstsq_selection(self, monkeypatch):
+        # two all but equal penalties around arm 0's choice tie its CV errors; the
+        # factored pass is then nudged towards the one lstsq does not choose
+        data, _ = generate(SimulationSpec(*SIM_DESIGNS[0], 200, 11))
+        x0, y0 = data.x[data.w == 0], data.y[data.w == 0]
+        grid = default_lambda_grid(expand_features(x0, "quadratic"), y0)
+        i = int(np.flatnonzero(grid == lstsq_reference(monkeypatch, data).lambda0)[0])
+        tied = np.insert(grid, i + 1, grid[i] * (1.0 - 1e-12))
+        reference = lstsq_reference(monkeypatch, data, lambda_grid=tied)
+        chosen = int(np.flatnonzero(tied == reference.lambda0)[0])
+        other = i + 1 if chosen == i else i
+        assert chosen in (i, i + 1)
+
+        cv_sse, near_tie = outcome_models._cv_sse, outcome_models._near_tie
+        passes, fast_choices = [], []
+
+        def nudged(features, y_arm, fold_indices, grid, factored):
+            sse = cv_sse(features, y_arm, fold_indices, grid, factored)
+            passes.append(factored)
+            if factored and np.array_equal(y_arm, y0):
+                sse[chosen] *= 1.0 + 1e-9
+            return sse
+
+        def recorded_tie(cv_sse):
+            fast_choices.append(int(np.argmin(cv_sse)))
+            return near_tie(cv_sse)
+
+        monkeypatch.setattr(outcome_models, "_cv_sse", nudged)
+        monkeypatch.setattr(outcome_models, "_near_tie", recorded_tie)
+        model = fit_lasso_per_arm(data, lambda_grid=tied)
+        assert fast_choices[0] == other  # the factored pass alone would choose the other
+        assert passes[:2] == [True, False]  # arm 0's folds again, on lstsq
+        assert model_bytes(model) == model_bytes(reference)
+
+    def test_gate_failures_are_solved_by_lstsq(self, monkeypatch):
+        # the eight-covariate expansion is rank-deficient, so some supports fail the gate
+        rows, header = nsw_rows()
+        data = ObservationalDataset(
+            x=rows[:, 1:9], w=rows[:, 0].astype(int), y=rows[:, 9], feature_names=header[1:9]
+        )
+        lstsq, cholesky = np.linalg.lstsq, np.linalg.cholesky
+        support_solve, gated_inverse = outcome_models._support_solve, outcome_models._gated_inverse
+        lstsq_calls, solves, singular, refused = [], [], [], []
+
+        def counted_lstsq(a, b, rcond=None):
+            lstsq_calls.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        def counted_cholesky(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        def counted_gate(sub):
+            inverse = gated_inverse(sub)
+            if inverse is None:
+                refused.append(sub.shape)
+            return inverse
+
+        def recorded_solve(gram, on, rhs):
+            before = len(lstsq_calls)
+            b = support_solve(gram, on, rhs)
+            factors = outcome_models._fold_path.factors
+            gated = None if factors is None else factors[on.tobytes()] is not None
+            solves.append((gated, len(lstsq_calls) - before))
+            return b
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(outcome_models, "_gated_inverse", counted_gate)
+        monkeypatch.setattr(outcome_models, "_support_solve", recorded_solve)
+        fit_lasso_per_arm(data)
+        counts = {gated: set() for gated, _ in solves}
+        for gated, calls in solves:
+            counts[gated].add(calls)
+        # fold paths: lstsq exactly for the supports the gate refused; refits: always lstsq
+        assert counts == {False: {1}, True: {0}, None: {1}}
+        # some refused supports have no Cholesky factor, others one with too small a pivot
+        assert len(refused) > len(singular) > 0
+
+    def test_no_factor_cache_outlives_a_fit(self, monkeypatch):
+        data, _ = generate(SimulationSpec(*SIM_DESIGNS[0], 200, 11))
+        fit_lasso_per_arm(data)
+        assert outcome_models._fold_path.factors is None
+        solve_pattern, seen = outcome_models._solve_pattern, []
+
+        def failing_solve(gram, corr, y2, lam, signs):
+            seen.append(outcome_models._fold_path.factors is not None)
+            if len(seen) == 50:
+                raise FloatingPointError("injected")
+            return solve_pattern(gram, corr, y2, lam, signs)
+
+        monkeypatch.setattr(outcome_models, "_solve_pattern", failing_solve)
+        with pytest.raises(FloatingPointError, match="injected"):
+            fit_lasso_per_arm(data)
+        assert all(seen) and outcome_models._fold_path.factors is None
+
+    def test_threads_keep_their_own_route(self):
+        # a fold path's cache is its thread's, so no other thread's refit reads it
+        datasets = [generate(SimulationSpec(*SIM_DESIGNS[d], 200, 11))[0] for d in (0, 3, 7, 10)]
+        serial = [model_bytes(fit_lasso_per_arm(data)) for data in datasets]
+        results = {}
+
+        def fit(i):
+            results[i] = model_bytes(fit_lasso_per_arm(datasets[i]))
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(datasets))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(len(datasets))] == serial
+
+    def test_warnings_equal_the_lstsq_route(self, monkeypatch):
+        # one CD cycle per step: a factored fold path runs out of cycles, and the
+        # arm's folds are solved again on lstsq, which warns as the lstsq route does
+        (x0, y0), (x1, y1) = gaussian_design(1), gaussian_design(2)
+        data = two_arm_data(x0[:, :3], y0, x1[:, :3], y1)
+        monkeypatch.setattr(outcome_models, "CD_MAX_CYCLES", 1)
+        cv_sse = outcome_models._cv_sse
+
+        def record():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = fit_lasso_per_arm(data)
+            return model, [str(w.message) for w in caught]
+
+        model, messages = record()
+        monkeypatch.setattr(
+            outcome_models, "_cv_sse",
+            lambda features, y_arm, fold_indices, grid, factored: cv_sse(
+                features, y_arm, fold_indices, grid, False),
+        )
+        reference, reference_messages = record()
+        assert messages and messages == reference_messages
+        assert model_bytes(model) == model_bytes(reference)
