@@ -631,7 +631,6 @@ class TestStepLoopReference:
         assert first_failed == {"signs", "support KKT", "off-support KKT", None}
 
 
-
 def lstsq_reference(monkeypatch, data, **kwargs):
     """fit_lasso_per_arm with its fold and refit paths on the lstsq-only step loop of `_oracles`."""
     with monkeypatch.context() as patch:
