@@ -4,7 +4,7 @@ A record: key, fixture, timed calls, median seconds, tracemalloc peak in MB and 
 """
 
 import contextlib, functools, hashlib, io, itertools, json, os, pathlib, statistics, sys
-import tempfile, time, tracemalloc
+import tempfile, time, tracemalloc, warnings
 import numpy as np
 from mbpolicy import (
     CsvSchema, LearnConfig, ObservationalDataset, advantage_linear_form, aipw_scores,
@@ -55,6 +55,18 @@ def study_searched(_):
 def lassoed(data):
     return (lambda: fit_lasso_per_arm(data), lambda model: model.coef0.tobytes()
             + model.coef1.tobytes() + repr((model.lambda0, model.lambda1)).encode())
+
+def unconverged(_):
+    """lassoed on design 12's seed-7 n = 200 draw, whose fold path runs out of CD cycles,
+    with the warnings the fit issues."""
+    fit, digested = lassoed(generate(SimulationSpec(*DESIGNS[12], 200, 7))[0])
+
+    def call():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit()
+        return model, [str(warning.message) for warning in caught]
+    return call, lambda result: digested(result[0]) + "\n".join(result[1]).encode()
 
 def loaded(_):
     tmp = tempfile.TemporaryDirectory()
@@ -174,6 +186,9 @@ STAGES = [
     ("lasso_design", "fit_lasso_per_arm(data) on the seed-7 n = 500 draw of design n of the 20 "
      "(scenario, main effect, contrast)", tuple(range(len(DESIGNS))), 1, False,
      lambda n: lassoed(generate(SimulationSpec(*DESIGNS[n], 500, 7))[0])),
+    ("lasso_unconverged", "fit_lasso_per_arm(data) on the seed-7 n = 200 draw of design 12, "
+     "whose steps 84-88 run out of CD_MAX_CYCLES on one fold path, with its warning messages",
+     None, 1, False, unconverged),
     ("study_match", f"match_units(fold, fit_mahalanobis(fold.x), 5) {FOLD}",
      None, 3, True, lambda _: matched(study(True))),
     ("study_search", f"search_tree(fold.x, gamma, 2, eligible) {FOLD}, black and hispanic "

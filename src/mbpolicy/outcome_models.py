@@ -7,14 +7,18 @@ cross-validation. Each penalty step first solves the lasso exactly on the
 support and signs of its warm start (the previous step's solution), with the
 warm start's objective at the new penalty as a ceiling. That objective is
 quad + lambda * l1, and a step that ends on an exact solve hands its quad and
-l1 on, so the next step's ceiling costs one multiply-add. If that solution is
-not verified, cyclic coordinate descent (CD) with soft-thresholding runs, and
-after each cycle one more sign pattern is solved: the CD iterate's signs when
-they changed, else one active-set move from the last rejected solve (drop the
-coefficient that first crosses zero, or add the worst KKT violator). A step's
-coefficients are the first KKT-verified exact solution found, and CD converged
-to CD_TOL otherwise; a step that runs out of CD_MAX_CYCLES issues a
-RuntimeWarning.
+l1 on, so the next step's ceiling costs one multiply-add, and its sign
+pattern, so the next step's signs cost nothing. The KKT conditions are checked
+on every column: a zero-variance column standardizes to a zero column and
+stays at coefficient 0, so its condition always holds. If that solution is not
+verified, cyclic coordinate descent (CD) with soft-thresholding runs, its
+coefficients held as Python floats (the roundings of numpy scalars, in the
+same order), and after each cycle one more sign pattern is solved: the CD
+iterate's signs when they changed, else one active-set move from the last
+rejected solve (drop the coefficient that first crosses zero, or add the worst
+KKT violator). A step's coefficients are the first KKT-verified exact solution
+found, and CD converged to CD_TOL otherwise; a step that runs out of
+CD_MAX_CYCLES issues a RuntimeWarning.
 
 CV folds are plain seeded shuffles (not treatment-stratified; fits are
 per-arm, so stratification has nothing to act on). The fold paths only
@@ -214,21 +218,22 @@ def _solve_pattern(
     ceiling. The checks run in that order and stop at the first that fails.
     """
     on = signs.nonzero()[0]
+    shift = lam * signs
     b = np.zeros(len(signs))
     if len(on):
-        b[on] = _support_solve(gram, on, corr[on] - lam * signs[on])
+        b[on] = _support_solve(gram, on, (corr - shift)[on])
     gram_b = gram @ b
     grad = corr - gram_b
     if not (np.sign(b) == signs).all():
         return b, grad, None
     # the breach is |grad - lam s| on the support and |grad| off it (lam is
-    # finite); a support entry within tol is also within lam + tol, so the
-    # off-support bound can be checked on every live column
+    # finite). The off-support bound lam + tol is checked on every column,
+    # which is exact: a support entry within tol is within lam + tol, and a
+    # zero-variance column standardizes to a zero column, whose corr entry,
+    # G row and so breach are 0 (a nonzero sign on it fails the sign check)
     tol = KKT_TOL * max(1.0, lam)
-    breach = abs(grad - lam * signs)
-    if not (
-        (breach[on] <= tol).all() and (breach[gram.diagonal() > 0.0] <= lam + tol).all()
-    ):
+    breach = abs(grad - shift)
+    if not (breach.max() <= lam + tol and (not len(on) or breach[on].max() <= tol)):
         return b, grad, None
     return b, grad, _fit_terms(b, gram_b, corr, y2)
 
@@ -243,10 +248,12 @@ def _support_solve(gram: np.ndarray, on: np.ndarray, rhs: np.ndarray) -> np.ndar
     factors = _fold_path.factors
     if factors is not None:
         key = on.tobytes()
-        if key not in factors:
-            factors[key] = _gated_inverse(gram.take(on, 0).take(on, 1))
-        if factors[key] is not None:
-            return factors[key] @ rhs
+        try:
+            inverse = factors[key]
+        except KeyError:
+            inverse = factors[key] = _gated_inverse(gram.take(on, 0).take(on, 1))
+        if inverse is not None:
+            return inverse @ rhs
     return np.linalg.lstsq(gram.take(on, 0).take(on, 1), rhs, rcond=None)[0]
 
 
@@ -283,8 +290,8 @@ def _exact_on_support(
     Solves G[A,A] b = corr[A] - lam signs[A] on the support A = {signs != 0}
     by least squares, so a rank-deficient support does not raise. b (zero off
     A) is returned only if sign(b) == signs, the KKT conditions hold to
-    KKT_TOL * max(1, lam) on A and on the live columns off A, and its objective
-    is at most ``ceiling`` (with the 1e-10 relative slack of the CD check).
+    KKT_TOL * max(1, lam) on A and off it, and its objective is at most
+    ``ceiling`` (with the 1e-10 relative slack of the CD check).
     """
     b, _, terms = _solve_pattern(gram, corr, y2, lam, signs)
     return b if _accepts(terms, lam, ceiling) else None
@@ -354,38 +361,45 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     gram = xs.T @ xs / n
     corr = xs.T @ yc / n
     y2 = float(yc @ yc) / n
-    diag = np.diag(gram).copy()
+    diag = np.diag(gram)
     live = diag > 0.0
+    # CD reads and writes single coefficients as Python floats, with the same
+    # roundings in the same order as on numpy scalars; q = G beta stays an array
+    corr_list, diag_list = corr.tolist(), diag.tolist()
+    columns = list(gram.T.copy())  # gram[:, j], contiguous
+    live_list = np.flatnonzero(live).tolist()  # zero-variance columns stay at coefficient 0
     beta = np.zeros(k)
+    signs = None  # sign(beta) when a verified solve set beta
     warm = None  # beta's `_fit_terms` when known
     out = np.empty((len(lambdas), k))
     for step, lam in enumerate(lambdas):
-        from_cd = np.sign(beta)
-        pattern = from_cd
+        from_cd = pattern = np.sign(beta) if signs is None else signs
         b, grad, terms = _solve_pattern(gram, corr, y2, lam, pattern)
         if terms is not None:
             if warm is None:
                 warm = _fit_terms(beta, gram @ beta, corr, y2)
             if _accepts(terms, lam, warm[0] + lam * warm[1]):
                 out[step] = beta = b
-                warm = terms
+                warm, signs = terms, pattern
                 continue
-        warm = None
+        warm = signs = None
         q = gram @ beta  # refresh to stop incremental drift accumulating across steps
+        coef = beta.tolist()
+        threshold = float(lam)
         solved = {pattern.tobytes(): (b, grad, terms)}  # each pattern is solved once a step
         prev_obj = np.inf
         for _ in range(CD_MAX_CYCLES):
             max_delta = 0.0
-            for j in range(k):
-                if diag[j] <= 0.0:
-                    continue  # zero-variance column stays at coefficient 0
-                rho = corr[j] - q[j] + diag[j] * beta[j]
-                new = _soft(rho, lam) / diag[j]
-                delta = new - beta[j]
+            for j in live_list:
+                d = diag_list[j]
+                rho = corr_list[j] - q.item(j) + d * coef[j]
+                new = _soft(rho, threshold) / d
+                delta = new - coef[j]
                 if delta != 0.0:
-                    q += delta * gram[:, j]
-                    beta[j] = new
+                    q += delta * columns[j]
+                    coef[j] = new
                     max_delta = max(max_delta, abs(delta))
+            beta = np.array(coef)
             obj = _objective(beta, q, corr, y2, lam)
             if obj > prev_obj + 1e-10 * max(1.0, abs(prev_obj)):
                 raise AssertionError(
@@ -394,9 +408,9 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
             prev_obj = obj
             if max_delta < CD_TOL:
                 break
-            signs = np.sign(beta)
-            if not np.array_equal(signs, from_cd):
-                from_cd = pattern = signs
+            cd_signs = np.sign(beta)
+            if not np.array_equal(cd_signs, from_cd):
+                from_cd = pattern = cd_signs
             elif pattern is not None:
                 pattern = _moved_pattern(beta, pattern, b, grad, lam, live)
             if pattern is None:
@@ -406,7 +420,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
                 solved[key] = _solve_pattern(gram, corr, y2, lam, pattern)
             b, grad, terms = solved[key]
             if _accepts(terms, lam, obj):
-                beta, warm = b, terms
+                beta, warm, signs = b, terms, pattern
                 break
         else:
             if _fold_path.factors is not None:

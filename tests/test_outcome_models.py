@@ -810,3 +810,59 @@ class TestFoldRoute:
         reference, reference_messages = record()
         assert messages and messages == reference_messages
         assert model_bytes(model) == model_bytes(reference)
+
+
+class TestEveryColumnChecked:
+    """The KKT check covers every column, and CD runs on Python floats, at unchanged bytes."""
+
+    @pytest.mark.parametrize(
+        "kind,seed", [("earnings", 0), ("gaussian", 0), ("gaussian", 3), ("study", 0), ("eight", 0)]
+    )
+    def test_zero_variance_column_path(self, kind, seed):
+        # a zero-variance column standardizes to a zero column: its breach is 0,
+        # so checking every column accepts exactly what checking the live ones did
+        features, y = reference_design(kind, seed)
+        features = np.column_stack([features, np.zeros(len(y))])
+        xs, _, _ = _standardize(features)
+        assert not xs[:, -1].any()
+        yc = y - y.mean()
+        grid = default_lambda_grid(features, y)
+        path = _lasso_path(xs, yc, grid)
+        assert path.tobytes() == _oracles.pattern_first_lasso_path(xs, yc, grid).tobytes()
+        outcome_models._fold_path.factors = {}
+        try:
+            factored = _lasso_path(xs, yc, grid)
+        finally:
+            outcome_models._fold_path.factors = None
+        gram, corr, _ = lasso_parts(xs, yc)
+        assert not factored[:, -1].any()
+        for beta, lam in zip(factored, grid):
+            assert kkt_violation(gram, corr, beta, lam) <= 1e-8
+
+    def test_fold_paths_in_coordinate_descent_equal_lstsq_reference(self, monkeypatch):
+        (x0, y0), (x1, y1) = gaussian_design(3), gaussian_design(4)
+        data = two_arm_data(x0[:, :4], y0, x1[:, :4], y1)
+        reference = lstsq_reference(monkeypatch, data)
+        soft, cycles = outcome_models._soft, {True: 0, False: 0}
+
+        def recording_soft(value, threshold):
+            cycles[outcome_models._fold_path.factors is not None] += 1
+            return soft(value, threshold)
+
+        monkeypatch.setattr(outcome_models, "_soft", recording_soft)
+        model = fit_lasso_per_arm(data)
+        assert cycles[True] > 0 and cycles[False] > 0  # CD ran on fold and refit paths
+        assert model_bytes(model) == model_bytes(reference)
+
+    @pytest.mark.parametrize("kind,seed", [("gaussian", 3), ("gaussian", 7), ("study", 1)])
+    def test_coordinate_descent_alone_equals_plain_cycles(self, kind, seed, monkeypatch):
+        # every exact solve rejected, so each step's iterate is CD's own: its
+        # bytes are those of numpy-scalar cycles from the same warm start
+        features, y = reference_design(kind, seed)
+        features = np.column_stack([np.zeros(len(y)), features])
+        xs, _, _ = _standardize(features)
+        yc = y - y.mean()
+        grid = default_lambda_grid(features, y)[::10]
+        monkeypatch.setattr(outcome_models, "_accepts", lambda *args: False)
+        path = _lasso_path(xs, yc, grid)
+        assert path.tobytes() == slow_lasso_path(xs, yc, grid).tobytes()
