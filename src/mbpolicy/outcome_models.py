@@ -363,7 +363,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     y2 = float(yc @ yc) / n
     diag = np.diag(gram)
     live = diag > 0.0
-    # CD reads and writes single coefficients as Python floats, with the same
+    # the penalty and CD's single coefficients are Python floats: the same
     # roundings in the same order as on numpy scalars; q = G beta stays an array
     corr_list, diag_list = corr.tolist(), diag.tolist()
     columns = list(gram.T.copy())  # gram[:, j], contiguous
@@ -372,7 +372,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     signs = None  # sign(beta) when a verified solve set beta
     warm = None  # beta's `_fit_terms` when known
     out = np.empty((len(lambdas), k))
-    for step, lam in enumerate(lambdas):
+    for step, lam in enumerate(lambdas.tolist()):
         from_cd = pattern = np.sign(beta) if signs is None else signs
         b, grad, terms = _solve_pattern(gram, corr, y2, lam, pattern)
         if terms is not None:
@@ -385,7 +385,6 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
         warm = signs = None
         q = gram @ beta  # refresh to stop incremental drift accumulating across steps
         coef = beta.tolist()
-        threshold = float(lam)
         solved = {pattern.tobytes(): (b, grad, terms)}  # each pattern is solved once a step
         prev_obj = np.inf
         for _ in range(CD_MAX_CYCLES):
@@ -393,7 +392,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
             for j in live_list:
                 d = diag_list[j]
                 rho = corr_list[j] - q.item(j) + d * coef[j]
-                new = _soft(rho, threshold) / d
+                new = _soft(rho, lam) / d
                 delta = new - coef[j]
                 if delta != 0.0:
                     q += delta * columns[j]
@@ -426,9 +425,8 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
             if _fold_path.factors is not None:
                 raise _Unconverged
             warnings.warn(
-                f"lasso penalty step {step} (lambda={float(lam)!r}) did not converge "
-                f"in {CD_MAX_CYCLES} cycles; last max coefficient change "
-                f"{float(max_delta)!r}",
+                f"lasso penalty step {step} (lambda={lam!r}) did not converge "
+                f"in {CD_MAX_CYCLES} cycles; last max coefficient change {max_delta!r}",
                 RuntimeWarning,
                 stacklevel=2,
             )
