@@ -25,12 +25,8 @@ per-arm, so stratification has nothing to act on). The fold paths only
 choose the penalty, so they solve each support A from a cached inverse of
 G[A,A], made on A's first solve in the path if A's Cholesky factor exists and
 the min/max of its squared diagonal is above FACTOR_GATE (else A stays on
-lstsq); the refit path that gives the coefficients always uses lstsq. If an
-arm's smallest CV error and the smallest at any other penalty are within
-TIE_TOL relative, its factored folds are solved again on lstsq alone before
-the penalty is chosen; so are they when a factored fold path runs out of CD
-cycles, and that pass warns. So the penalties, coefficients and warnings are
-those of lstsq alone.
+lstsq). The penalty is chosen from one pass of these factored fold paths; the
+refit path that gives the coefficients at that penalty always uses lstsq.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ KKT_TOL = 1e-9         # KKT tolerance of an exact support solve, times max(1, l
 GRID_SIZE = 100
 GRID_RATIO = 1e-4      # smallest grid entry = GRID_RATIO * lambda_max
 FACTOR_GATE = 1e-8     # least min/max squared Cholesky diagonal of a support factored on a fold path
-TIE_TOL = 1e-6         # relative CV-error gap below which an arm's folds are rerun on lstsq
 
 
 class _FoldPath(threading.local):
@@ -288,7 +283,8 @@ def _exact_on_support(
     """The lasso solution with sign pattern ``signs``, or None if it is not verified.
 
     Solves G[A,A] b = corr[A] - lam signs[A] on the support A = {signs != 0}
-    by least squares, so a rank-deficient support does not raise. b (zero off
+    by `_support_solve`: least squares, so a rank-deficient support does not
+    raise, or on a fold path A's cached inverse when it has one. b (zero off
     A) is returned only if sign(b) == signs, the KKT conditions hold to
     KKT_TOL * max(1, lam) on A and off it, and its objective is at most
     ``ceiling`` (with the 1e-10 relative slack of the CD check).
@@ -330,10 +326,6 @@ def _moved_pattern(
         return None
     moved[j] = np.sign(grad[j])
     return moved
-
-
-class _Unconverged(Exception):
-    """A step of a factored fold path ran out of CD cycles."""
 
 
 def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -422,8 +414,6 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
                 beta, warm, signs = b, terms, pattern
                 break
         else:
-            if _fold_path.factors is not None:
-                raise _Unconverged
             warnings.warn(
                 f"lasso penalty step {step} (lambda={lam!r}) did not converge "
                 f"in {CD_MAX_CYCLES} cycles; last max coefficient change {max_delta!r}",
@@ -459,12 +449,11 @@ def _cv_sse(
     y_arm: np.ndarray,
     fold_indices: list[np.ndarray],
     grid: np.ndarray,
-    factored: bool,
 ) -> np.ndarray:
     """Validation squared error per penalty, summed over the folds in order.
 
-    With ``factored`` each fold path solves from cached support factors, and
-    one that runs out of CD cycles raises `_Unconverged` instead of warning.
+    Each fold path solves from cached support factors, so these errors choose
+    the penalty but give no coefficient; the refit at that penalty does.
     """
     cv_sse = np.zeros(len(grid))
     for fold in fold_indices:
@@ -472,7 +461,7 @@ def _cv_sse(
         mask[fold] = False
         xs_tr, ctr, sc = _standardize(features[mask])
         y_tr = y_arm[mask]
-        _fold_path.factors = {} if factored else None
+        _fold_path.factors = {}
         try:
             path = _lasso_path(xs_tr, y_tr - y_tr.mean(), grid)
         finally:
@@ -481,14 +470,6 @@ def _cv_sse(
         preds = y_tr.mean() + xs_val @ path.T  # (n_val, n_lambda)
         cv_sse += np.sum((preds - y_arm[fold][:, None]) ** 2, axis=0)
     return cv_sse
-
-
-def _near_tie(cv_sse: np.ndarray) -> bool:
-    """Whether the smallest CV error and the smallest at any other index are within TIE_TOL."""
-    if len(cv_sse) < 2:
-        return False
-    first, second = np.partition(cv_sse, 1)[:2]
-    return bool(second - first <= TIE_TOL * abs(first))
 
 
 def fit_lasso_per_arm(
@@ -521,12 +502,7 @@ def fit_lasso_per_arm(
         rng = np.random.default_rng([seed, w])
         perm = rng.permutation(n_w)
         fold_indices = np.array_split(perm, folds)
-        try:
-            cv_sse = _cv_sse(features, y_arm, fold_indices, grid, factored=True)
-        except _Unconverged:
-            cv_sse = None  # lstsq alone decides whether a step warns
-        if cv_sse is None or _near_tie(cv_sse):  # near-equal errors: choose as lstsq does
-            cv_sse = _cv_sse(features, y_arm, fold_indices, grid, factored=False)
+        cv_sse = _cv_sse(features, y_arm, fold_indices, grid)
         best = int(np.argmin(cv_sse / n_w))
 
         xs, ctr, sc = _standardize(features)

@@ -5,7 +5,11 @@ Criteria touching the job-training study data skip when the CSV is absent;
 point MBPOLICY_NSW_DW at the file or place it under data/nsw_dw.csv.
 """
 
+import importlib
+import importlib.util
 import os
+import pkgutil
+import re
 import time
 from pathlib import Path
 
@@ -347,3 +351,30 @@ def test_criterion_11_public_interface_complete():
         not missing and documented,
         f"missing public names: {missing or 'none'}; README present: {documented}",
     )
+
+
+def test_readme_names_no_constant_the_code_lacks():
+    # every backticked upper-case name in README.md, bare (`KKT_TOL`) or
+    # module-qualified (`advantage.PROPENSITY_CLIP`), is defined by an mbpolicy
+    # module or scripts/stages.py, or is the output-directory variable
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("readme_stages", root / "scripts" / "stages.py")
+    stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stages)
+    modules = {"mbpolicy": mbpolicy} | {
+        name: importlib.import_module(f"mbpolicy.{name}")
+        for _, name, _ in pkgutil.iter_modules(mbpolicy.__path__)
+    }
+    text = (root / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`((?:[a-z_][a-z0-9_]*\.)?_?[A-Z][A-Z0-9_]+)`", text))
+
+    def defined(name):
+        module, _, attr = name.rpartition(".")
+        if module:
+            return module in modules and hasattr(modules[module], attr)
+        return attr == modules["cli"].OUT_DIR_ENV or any(
+            hasattr(where, attr) for where in [*modules.values(), stages]
+        )
+
+    missing = sorted(name for name in names if not defined(name))
+    assert names and not missing, f"README names undefined constants: {missing}"

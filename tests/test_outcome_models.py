@@ -3,7 +3,9 @@ import itertools
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mbpolicy.outcome_models import (
     _standardize,
     default_lambda_grid,
 )
+from mbpolicy.seeding import derive_seed
 from mbpolicy.simulation import SimulationSpec, generate
 
 import _oracles
@@ -666,40 +669,6 @@ class TestFoldRoute:
         assert factored  # the fold paths took the factored route
         assert model_bytes(model) == model_bytes(reference)
 
-    def test_near_tie_takes_the_lstsq_selection(self, monkeypatch):
-        # two all but equal penalties around arm 0's choice tie its CV errors; the
-        # factored pass is then nudged towards the one lstsq does not choose
-        data, _ = generate(SimulationSpec(*SIM_DESIGNS[0], 200, 11))
-        x0, y0 = data.x[data.w == 0], data.y[data.w == 0]
-        grid = default_lambda_grid(expand_features(x0, "quadratic"), y0)
-        i = int(np.flatnonzero(grid == lstsq_reference(monkeypatch, data).lambda0)[0])
-        tied = np.insert(grid, i + 1, grid[i] * (1.0 - 1e-12))
-        reference = lstsq_reference(monkeypatch, data, lambda_grid=tied)
-        chosen = int(np.flatnonzero(tied == reference.lambda0)[0])
-        other = i + 1 if chosen == i else i
-        assert chosen in (i, i + 1)
-
-        cv_sse, near_tie = outcome_models._cv_sse, outcome_models._near_tie
-        passes, fast_choices = [], []
-
-        def nudged(features, y_arm, fold_indices, grid, factored):
-            sse = cv_sse(features, y_arm, fold_indices, grid, factored)
-            passes.append(factored)
-            if factored and np.array_equal(y_arm, y0):
-                sse[chosen] *= 1.0 + 1e-9
-            return sse
-
-        def recorded_tie(cv_sse):
-            fast_choices.append(int(np.argmin(cv_sse)))
-            return near_tie(cv_sse)
-
-        monkeypatch.setattr(outcome_models, "_cv_sse", nudged)
-        monkeypatch.setattr(outcome_models, "_near_tie", recorded_tie)
-        model = fit_lasso_per_arm(data, lambda_grid=tied)
-        assert fast_choices[0] == other  # the factored pass alone would choose the other
-        assert passes[:2] == [True, False]  # arm 0's folds again, on lstsq
-        assert model_bytes(model) == model_bytes(reference)
-
     def test_gate_failures_are_solved_by_lstsq(self, monkeypatch):
         # the eight-covariate expansion is rank-deficient, so some supports fail the gate
         rows, header = nsw_rows()
@@ -787,29 +756,75 @@ class TestFoldRoute:
         assert not any(thread.is_alive() for thread in threads)
         assert [results.get(i) for i in range(len(datasets))] == serial
 
-    def test_warnings_equal_the_lstsq_route(self, monkeypatch):
-        # one CD cycle per step: a factored fold path runs out of cycles, and the
-        # arm's folds are solved again on lstsq, which warns as the lstsq route does
+    def test_fold_path_that_runs_out_of_cycles_warns(self, monkeypatch):
+        # one CD cycle per step: factored fold paths run out of cycles and warn
+        # there, as every path does, and each arm's folds are solved once
         (x0, y0), (x1, y1) = gaussian_design(1), gaussian_design(2)
         data = two_arm_data(x0[:, :3], y0, x1[:, :3], y1)
         monkeypatch.setattr(outcome_models, "CD_MAX_CYCLES", 1)
-        cv_sse = outcome_models._cv_sse
+        monkeypatch.setattr(_oracles, "CD_MAX_CYCLES", 1)
+        with warnings.catch_warnings(record=True) as reference_caught:
+            warnings.simplefilter("always")
+            reference = lstsq_reference(monkeypatch, data)
+        cv_sse, warn = outcome_models._cv_sse, warnings.warn
+        passes, on_fold_path = [], []
 
-        def record():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                model = fit_lasso_per_arm(data)
-            return model, [str(w.message) for w in caught]
+        def counted(features, y_arm, fold_indices, grid):
+            passes.append(y_arm.tobytes())
+            return cv_sse(features, y_arm, fold_indices, grid)
 
-        model, messages = record()
-        monkeypatch.setattr(
-            outcome_models, "_cv_sse",
-            lambda features, y_arm, fold_indices, grid, factored: cv_sse(
-                features, y_arm, fold_indices, grid, False),
-        )
-        reference, reference_messages = record()
-        assert messages and messages == reference_messages
+        def recorded_warn(*args, **kwargs):
+            on_fold_path.append(outcome_models._fold_path.factors is not None)
+            warn(*args, **kwargs)
+
+        monkeypatch.setattr(outcome_models, "_cv_sse", counted)
+        monkeypatch.setattr(outcome_models, "warnings", SimpleNamespace(warn=recorded_warn))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_lasso_per_arm(data)
+        assert any(on_fold_path) and len(caught) == len(on_fold_path)
+        assert len(passes) == len(set(passes)) == 2  # one CV pass per arm
         assert model_bytes(model) == model_bytes(reference)
+        # the same steps warn; only the last max coefficient change has other digits
+        steps = [[str(w.message).split(";")[0] for w in ws] for ws in (caught, reference_caught)]
+        assert steps[0] == steps[1]
+
+    @pytest.mark.parametrize("fixture,arm", [
+        ("sim-2000", 1), ("design-8", 1), ("s1-1001-mb-lasso-m5", 1), ("s5-3015-mb-lasso-m1", 0),
+    ])
+    def test_near_tied_arm_keeps_lstsq_penalty(self, fixture, arm, monkeypatch):
+        # arms whose two smallest CV errors lie within 1e-6 relative: the one
+        # factored CV pass chooses the penalty that the lstsq route chooses
+        data, seed = near_tie_fixture(fixture)
+        reference = lstsq_reference(monkeypatch, data, seed=seed)
+        cv_sse, errors = outcome_models._cv_sse, []
+        monkeypatch.setattr(
+            outcome_models, "_cv_sse", lambda *args: errors.append(cv_sse(*args)) or errors[-1]
+        )
+        model = fit_lasso_per_arm(data, seed=seed)
+        first, second = np.partition(errors[arm], 1)[:2]
+        assert second - first <= 1e-6 * first  # still a near tie
+        assert model_bytes(model) == model_bytes(reference)
+
+
+def near_tie_fixture(name):
+    """(data, lasso seed) of a fit with a near-tied arm.
+
+    The sim-replicate ones are replicate 0 of a method at an experiment seed,
+    drawn with `_run_single`'s seed keys.
+    """
+    if name == "sim-2000":
+        return generate(SimulationSpec(1, "linear", "tree", 2000, seed=1010))[0], 0
+    if name == "design-8":
+        return generate(SimulationSpec(*SIM_DESIGNS[8], 500, 7))[0], 0
+    setting, experiment_seed, method = {
+        "s1-1001-mb-lasso-m5": (SimulationSpec(1, "linear", "tree", 500), 1001, "mb-lasso-m5"),
+        "s5-3015-mb-lasso-m1": (SimulationSpec(5, "nonlinear", "nontree", 500), 3015, "mb-lasso-m1"),
+    }[name]
+    base = (setting.propensity_scenario, setting.main_effect, setting.contrast)
+    dataset_seed = derive_seed("dataset", *base, setting.n, experiment_seed, 0)
+    data, _ = generate(replace(setting, seed=dataset_seed))
+    return data, derive_seed("method", method, *base, setting.n, experiment_seed, 0)
 
 
 class TestEveryColumnChecked:
