@@ -26,8 +26,7 @@ from mbpolicy.outcome_models import (
     _standardize,
     default_lambda_grid,
 )
-from mbpolicy.seeding import derive_seed
-from mbpolicy.simulation import SimulationSpec, generate
+from mbpolicy.simulation import SimulationSpec, derive_seed, generate
 
 import _oracles
 from _oracles import cd_exact_lasso_path, slow_lasso_path
@@ -802,6 +801,7 @@ class TestFoldRoute:
             outcome_models, "_cv_sse", lambda *args: errors.append(cv_sse(*args)) or errors[-1]
         )
         model = fit_lasso_per_arm(data, seed=seed)
+        assert len(errors) == 2  # one CV pass per arm
         first, second = np.partition(errors[arm], 1)[:2]
         assert second - first <= 1e-6 * first  # still a near tie
         assert model_bytes(model) == model_bytes(reference)
