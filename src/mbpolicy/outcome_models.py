@@ -22,16 +22,16 @@ CD_MAX_CYCLES issues a RuntimeWarning.
 
 CV folds are plain seeded shuffles (not treatment-stratified; fits are
 per-arm, so stratification has nothing to act on). The fold paths only
-choose the penalty, so they solve each support A from a cached inverse of
-G[A,A], made on A's first solve in the path if A's Cholesky factor exists and
-the min/max of its squared diagonal is above FACTOR_GATE (else A stays on
-lstsq). The penalty is chosen from one pass of these factored fold paths; the
-refit path that gives the coefficients at that penalty always uses lstsq.
+choose the penalty, so each is handed its own cache and solves each support A
+from a cached inverse of G[A,A], made on A's first solve in the path if A's
+Cholesky factor exists and the min/max of its squared diagonal is above
+FACTOR_GATE (else A stays on lstsq). The penalty is chosen from one pass of
+these fold paths; the refit path that gives the coefficients at that penalty
+gets no cache, so it always uses lstsq.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -54,15 +54,6 @@ KKT_TOL = 1e-9         # KKT tolerance of an exact support solve, times max(1, l
 GRID_SIZE = 100
 GRID_RATIO = 1e-4      # smallest grid entry = GRID_RATIO * lambda_max
 FACTOR_GATE = 1e-8     # least min/max squared Cholesky diagonal of a support factored on a fold path
-
-
-class _FoldPath(threading.local):
-    """This thread's fold path being solved: the inverse (None: lstsq) of each support."""
-
-    factors: dict[bytes, np.ndarray | None] | None = None  # None outside a fold path
-
-
-_fold_path = _FoldPath()
 
 
 def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
@@ -205,6 +196,7 @@ def _solve_pattern(
     y2: float,
     lam: float,
     signs: np.ndarray,
+    factors: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
     """The exact solve of `_exact_on_support`: (b, gradient corr - G b, terms).
 
@@ -216,7 +208,7 @@ def _solve_pattern(
     shift = lam * signs
     b = np.zeros(len(signs))
     if len(on):
-        b[on] = _support_solve(gram, on, (corr - shift)[on])
+        b[on] = _support_solve(gram, on, (corr - shift)[on], factors)
     gram_b = gram @ b
     grad = corr - gram_b
     if not (np.sign(b) == signs).all():
@@ -233,14 +225,15 @@ def _solve_pattern(
     return b, grad, _fit_terms(b, gram_b, corr, y2)
 
 
-def _support_solve(gram: np.ndarray, on: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """G[A,A]^-1 rhs on the support A = ``on``, by lstsq or, on a fold path, from A's factor.
+def _support_solve(
+    gram: np.ndarray, on: np.ndarray, rhs: np.ndarray, factors: dict | None
+) -> np.ndarray:
+    """G[A,A]^-1 rhs on the support A = ``on``, by lstsq or from a fold path's ``factors``.
 
-    On a fold path each support is factored on its first solve and every
-    solve of it multiplies by the cached inverse, unless the factor failed
-    `_gated_inverse`; such a support stays on lstsq.
+    ``factors`` maps each support of the path to its inverse, made on its first
+    solve, or to None if the factor failed `_gated_inverse`: that support stays
+    on lstsq. With no cache (the refit and direct calls) every solve is lstsq.
     """
-    factors = _fold_path.factors
     if factors is not None:
         key = on.tobytes()
         try:
@@ -283,11 +276,11 @@ def _exact_on_support(
     """The lasso solution with sign pattern ``signs``, or None if it is not verified.
 
     Solves G[A,A] b = corr[A] - lam signs[A] on the support A = {signs != 0}
-    by `_support_solve`: least squares, so a rank-deficient support does not
-    raise, or on a fold path A's cached inverse when it has one. b (zero off
-    A) is returned only if sign(b) == signs, the KKT conditions hold to
-    KKT_TOL * max(1, lam) on A and off it, and its objective is at most
-    ``ceiling`` (with the 1e-10 relative slack of the CD check).
+    by `_support_solve` with no cache: least squares, so a rank-deficient
+    support does not raise. b (zero off A) is returned only if sign(b) ==
+    signs, the KKT conditions hold to KKT_TOL * max(1, lam) on A and off it,
+    and its objective is at most ``ceiling`` (with the 1e-10 relative slack of
+    the CD check).
     """
     b, _, terms = _solve_pattern(gram, corr, y2, lam, signs)
     return b if _accepts(terms, lam, ceiling) else None
@@ -328,7 +321,9 @@ def _moved_pattern(
     return moved
 
 
-def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+def _lasso_path(
+    xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray, factors: dict | None = None
+) -> np.ndarray:
     """Lasso solutions for centered data along a descending penalty grid.
 
     Objective: (1/(2n))||yc - xs b||^2 + lambda ||b||_1. Each step first tries
@@ -346,8 +341,9 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     `_moved_pattern` of the last rejected solve. A pattern met again in the
     same step reuses its solve, compared with the new ceiling, instead of
     solving again. A verified solution ends the step. A step that runs out
-    of CD_MAX_CYCLES keeps its last iterate and warns. Returns an array of
-    shape (len(lambdas), k).
+    of CD_MAX_CYCLES keeps its last iterate and warns. Every pattern is
+    solved with ``factors``: a fold path's own cache, or None (lstsq) for the
+    refit. Returns an array of shape (len(lambdas), k).
     """
     n, k = xs.shape
     gram = xs.T @ xs / n
@@ -366,7 +362,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
     out = np.empty((len(lambdas), k))
     for step, lam in enumerate(lambdas.tolist()):
         from_cd = pattern = np.sign(beta) if signs is None else signs
-        b, grad, terms = _solve_pattern(gram, corr, y2, lam, pattern)
+        b, grad, terms = _solve_pattern(gram, corr, y2, lam, pattern, factors)
         if terms is not None:
             if warm is None:
                 warm = _fit_terms(beta, gram @ beta, corr, y2)
@@ -408,7 +404,7 @@ def _lasso_path(xs: np.ndarray, yc: np.ndarray, lambdas: np.ndarray) -> np.ndarr
                 continue  # nothing new to try until CD's signs change
             key = pattern.tobytes()
             if key not in solved:
-                solved[key] = _solve_pattern(gram, corr, y2, lam, pattern)
+                solved[key] = _solve_pattern(gram, corr, y2, lam, pattern, factors)
             b, grad, terms = solved[key]
             if _accepts(terms, lam, obj):
                 beta, warm, signs = b, terms, pattern
@@ -452,8 +448,8 @@ def _cv_sse(
 ) -> np.ndarray:
     """Validation squared error per penalty, summed over the folds in order.
 
-    Each fold path solves from cached support factors, so these errors choose
-    the penalty but give no coefficient; the refit at that penalty does.
+    Each fold path solves from a fresh cache of support factors, so these
+    errors choose the penalty but give no coefficient; the refit does.
     """
     cv_sse = np.zeros(len(grid))
     for fold in fold_indices:
@@ -461,11 +457,7 @@ def _cv_sse(
         mask[fold] = False
         xs_tr, ctr, sc = _standardize(features[mask])
         y_tr = y_arm[mask]
-        _fold_path.factors = {}
-        try:
-            path = _lasso_path(xs_tr, y_tr - y_tr.mean(), grid)
-        finally:
-            _fold_path.factors = None
+        path = _lasso_path(xs_tr, y_tr - y_tr.mean(), grid, {})
         xs_val = (features[fold] - ctr) / sc
         preds = y_tr.mean() + xs_val @ path.T  # (n_val, n_lambda)
         cv_sse += np.sum((preds - y_arm[fold][:, None]) ** 2, axis=0)

@@ -2,7 +2,10 @@
 
 Every stochastic routine keys a fresh Philox stream (counter-based, with
 numpy's ziggurat normal transform) from a canonical string, so runs reproduce
-bit-identically and parallel execution order cannot change results.
+bit-identically and parallel execution order cannot change results. The one
+exception is the lasso's CV fold shuffle in `fit_lasso_per_arm`, which draws
+from numpy's `default_rng([seed, w])` (PCG64), keyed by the learner seed and
+the arm.
 """
 
 from __future__ import annotations

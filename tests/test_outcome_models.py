@@ -528,13 +528,13 @@ class TestNoRepeatSolves:
         paths, solves = [], []
         lasso_path, solve_pattern = outcome_models._lasso_path, outcome_models._solve_pattern
 
-        def counted_path(xs, yc, lambdas):
+        def counted_path(xs, yc, lambdas, *factors):
             paths.append(len(lambdas))
-            return lasso_path(xs, yc, lambdas)
+            return lasso_path(xs, yc, lambdas, *factors)
 
-        def recorded_solve(gram, corr, y2, lam, signs):
+        def recorded_solve(gram, corr, y2, lam, signs, *factors):
             solves.append((len(paths), lam, signs.tobytes()))
-            return solve_pattern(gram, corr, y2, lam, signs)
+            return solve_pattern(gram, corr, y2, lam, signs, *factors)
 
         monkeypatch.setattr(outcome_models, "_lasso_path", counted_path)
         monkeypatch.setattr(outcome_models, "_solve_pattern", recorded_solve)
@@ -598,9 +598,9 @@ class TestStepLoopReference:
         cases = []
         solve_pattern = outcome_models._solve_pattern
 
-        def recorded_solve(gram, corr, y2, lam, signs):
+        def recorded_solve(gram, corr, y2, lam, signs, *factors):
             cases.append((lam, signs.copy()))
-            return solve_pattern(gram, corr, y2, lam, signs)
+            return solve_pattern(gram, corr, y2, lam, signs, *factors)
 
         monkeypatch.setattr(outcome_models, "_solve_pattern", recorded_solve)
         path = _lasso_path(xs, yc, grid)
@@ -635,8 +635,11 @@ class TestStepLoopReference:
 
 def lstsq_reference(monkeypatch, data, **kwargs):
     """fit_lasso_per_arm with its fold and refit paths on the lstsq-only step loop of `_oracles`."""
+    def lstsq_path(xs, yc, lambdas, factors=None):
+        return _oracles.pattern_first_lasso_path(xs, yc, lambdas)
+
     with monkeypatch.context() as patch:
-        patch.setattr(outcome_models, "_lasso_path", _oracles.pattern_first_lasso_path)
+        patch.setattr(outcome_models, "_lasso_path", lstsq_path)
         return fit_lasso_per_arm(data, **kwargs)
 
 
@@ -695,10 +698,9 @@ class TestFoldRoute:
                 refused.append(sub.shape)
             return inverse
 
-        def recorded_solve(gram, on, rhs):
+        def recorded_solve(gram, on, rhs, factors):
             before = len(lstsq_calls)
-            b = support_solve(gram, on, rhs)
-            factors = outcome_models._fold_path.factors
+            b = support_solve(gram, on, rhs, factors)
             gated = None if factors is None else factors[on.tobytes()] is not None
             solves.append((gated, len(lstsq_calls) - before))
             return b
@@ -716,22 +718,20 @@ class TestFoldRoute:
         # some refused supports have no Cholesky factor, others one with too small a pivot
         assert len(refused) > len(singular) > 0
 
-    def test_no_factor_cache_outlives_a_fit(self, monkeypatch):
+    def test_each_fold_path_gets_a_fresh_cache_and_the_refit_none(self, monkeypatch):
         data, _ = generate(SimulationSpec(*SIM_DESIGNS[0], 200, 11))
+        lasso_path, caches = outcome_models._lasso_path, []  # caches keeps each dict alive
+
+        def recorded_path(xs, yc, lambdas, factors=None):
+            caches.append((factors, None if factors is None else len(factors)))
+            return lasso_path(xs, yc, lambdas, factors)
+
+        monkeypatch.setattr(outcome_models, "_lasso_path", recorded_path)
         fit_lasso_per_arm(data)
-        assert outcome_models._fold_path.factors is None
-        solve_pattern, seen = outcome_models._solve_pattern, []
-
-        def failing_solve(gram, corr, y2, lam, signs):
-            seen.append(outcome_models._fold_path.factors is not None)
-            if len(seen) == 50:
-                raise FloatingPointError("injected")
-            return solve_pattern(gram, corr, y2, lam, signs)
-
-        monkeypatch.setattr(outcome_models, "_solve_pattern", failing_solve)
-        with pytest.raises(FloatingPointError, match="injected"):
-            fit_lasso_per_arm(data)
-        assert all(seen) and outcome_models._fold_path.factors is None
+        assert [factors is None for factors, _ in caches] == ([False] * 5 + [True]) * 2
+        folds = [(factors, size) for factors, size in caches if factors is not None]
+        assert len({id(factors) for factors, _ in folds}) == 10
+        assert all(size == 0 and factors for factors, size in folds)  # empty at entry, filled after
 
     def test_threads_keep_their_own_route(self):
         # a fold path's cache is its thread's, so no other thread's refit reads it
@@ -765,18 +765,23 @@ class TestFoldRoute:
         with warnings.catch_warnings(record=True) as reference_caught:
             warnings.simplefilter("always")
             reference = lstsq_reference(monkeypatch, data)
-        cv_sse, warn = outcome_models._cv_sse, warnings.warn
-        passes, on_fold_path = [], []
+        cv_sse, lasso_path, warn = outcome_models._cv_sse, outcome_models._lasso_path, warnings.warn
+        passes, route, on_fold_path = [], [], []
 
         def counted(features, y_arm, fold_indices, grid):
             passes.append(y_arm.tobytes())
             return cv_sse(features, y_arm, fold_indices, grid)
 
+        def routed_path(xs, yc, lambdas, factors=None):
+            route.append(factors is not None)
+            return lasso_path(xs, yc, lambdas, factors)
+
         def recorded_warn(*args, **kwargs):
-            on_fold_path.append(outcome_models._fold_path.factors is not None)
+            on_fold_path.append(route[-1])
             warn(*args, **kwargs)
 
         monkeypatch.setattr(outcome_models, "_cv_sse", counted)
+        monkeypatch.setattr(outcome_models, "_lasso_path", routed_path)
         monkeypatch.setattr(outcome_models, "warnings", SimpleNamespace(warn=recorded_warn))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -844,11 +849,7 @@ class TestEveryColumnChecked:
         grid = default_lambda_grid(features, y)
         path = _lasso_path(xs, yc, grid)
         assert path.tobytes() == _oracles.pattern_first_lasso_path(xs, yc, grid).tobytes()
-        outcome_models._fold_path.factors = {}
-        try:
-            factored = _lasso_path(xs, yc, grid)
-        finally:
-            outcome_models._fold_path.factors = None
+        factored = _lasso_path(xs, yc, grid, {})
         gram, corr, _ = lasso_parts(xs, yc)
         assert not factored[:, -1].any()
         for beta, lam in zip(factored, grid):
@@ -858,12 +859,18 @@ class TestEveryColumnChecked:
         (x0, y0), (x1, y1) = gaussian_design(3), gaussian_design(4)
         data = two_arm_data(x0[:, :4], y0, x1[:, :4], y1)
         reference = lstsq_reference(monkeypatch, data)
-        soft, cycles = outcome_models._soft, {True: 0, False: 0}
+        soft, lasso_path = outcome_models._soft, outcome_models._lasso_path
+        route, cycles = [], {True: 0, False: 0}
+
+        def routed_path(xs, yc, lambdas, factors=None):
+            route.append(factors is not None)
+            return lasso_path(xs, yc, lambdas, factors)
 
         def recording_soft(value, threshold):
-            cycles[outcome_models._fold_path.factors is not None] += 1
+            cycles[route[-1]] += 1
             return soft(value, threshold)
 
+        monkeypatch.setattr(outcome_models, "_lasso_path", routed_path)
         monkeypatch.setattr(outcome_models, "_soft", recording_soft)
         model = fit_lasso_per_arm(data)
         assert cycles[True] > 0 and cycles[False] > 0  # CD ran on fold and refit paths
