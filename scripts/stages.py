@@ -44,6 +44,12 @@ def matched(data):
     return (lambda: match_units(data, metric, 5),
             lambda m: m.matched_sets.tobytes() + m.distances.tobytes())
 
+def study4_matched(_):
+    data, names = study(False), ("age", "education", "re74", "re75")
+    columns = [data.feature_names.index(name) for name in names]
+    return matched(ObservationalDataset(x=data.x[:, columns], w=data.w, y=data.y,
+                                        feature_names=names))
+
 def searched(data, correction, *eligible):
     gamma = impute_scores(data, LearnConfig(m=5, correction=correction)).gamma
     return lambda: search_tree(data.x, gamma, 2, *eligible), lambda tree: tree.to_json().encode()
@@ -177,7 +183,7 @@ def command_outputs(_):
 # to (the call, a map from its result to the bytes digested).
 STAGES = [
     ("match", f"match_units(data, fit_mahalanobis(data.x), 5) {SIM}",
-     (200, 500, 1000, 2000), 3, True, lambda n: matched(sim(n))),
+     (200, 500, 1000, 2000, 8000), 3, True, lambda n: matched(sim(n))),
     ("search", f"search_tree(data.x, gamma, 2) {SIM}, gamma from impute_scores(data, "
      "LearnConfig(m=5, correction='none'))",
      (200, 500, 1000, 2000), 3, False, lambda n: searched(sim(n), "none")),
@@ -191,6 +197,10 @@ STAGES = [
      None, 1, False, unconverged),
     ("study_match", f"match_units(fold, fit_mahalanobis(fold.x), 5) {FOLD}",
      None, 3, True, lambda _: matched(study(True))),
+    ("study4_match", "match_units(data, fit_mahalanobis(data.x), 5) on all 445 rows of "
+     "bench/nsw_shaped.py's seed-0 file, covariates age, education, re74 and re75 (those of "
+     "study-learn): 61 of its 185 treated rows have a tied 5th-nearest distance",
+     None, 3, True, study4_matched),
     ("study_search", f"search_tree(fold.x, gamma, 2, eligible) {FOLD}, black and hispanic "
      "barred from splits, gamma from impute_scores(fold, LearnConfig(m=5, correction='ols'))",
      None, 101, False, study_searched),

@@ -2,7 +2,7 @@
 
 Each unit is matched to the M nearest opposite-arm units under a supplied
 metric (exact brute-force scan, ties broken by smallest unit index, the
-m nearest found by partial selection rather than a sort of every row). Each
+m nearest found by m argmin passes rather than a sort of any row). Each
 treated-control distance is formed once, in n1 * n0 * p work, and serves
 both units; blocks of treated rows and a running best set per control bound
 the memory. The matched sets drive two imputations of the missing potential
@@ -98,20 +98,19 @@ class ImputedPotentialOutcomes:
 def _nearest(d2: np.ndarray, m: int) -> np.ndarray:
     """Column indices of each row's m smallest entries: np.argsort(d2, kind="stable")[:, :m].
 
-    np.partition finds each row's m-th smallest value v. In a row where
-    exactly m entries are <= v, those m are the nearest set: they are taken in
-    ascending column order and stably sorted among themselves. A row where v
-    is tied by a later entry is stably sorted whole.
+    m argmin passes over a copy of d2, each setting its pick to +inf: argmin
+    returns the first of equal minima, so the picks come in (value, column)
+    order and no row is sorted. That is O(m * d2.size) work, as costly as a
+    sort near m = 20. A row with a non-finite (overflowed or NaN) pick is sorted.
     """
-    inside = d2 <= np.partition(d2, m - 1, axis=1)[:, m - 1 : m]
-    tied = np.count_nonzero(inside, axis=1) > m
-    order = np.empty((len(d2), m), dtype=np.intp)
-    if tied.any():
-        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :m]
-        d2, inside = d2[~tied], inside[~tied]
-    columns = np.nonzero(inside)[1].reshape(len(d2), m)
-    within = np.argsort(np.take_along_axis(d2, columns, axis=1), axis=1, kind="stable")
-    order[~tied] = np.take_along_axis(columns, within, axis=1)
+    scratch, rows = d2.copy(), np.arange(len(d2))
+    order, finite = np.empty((len(d2), m), dtype=np.intp), np.ones(len(d2), dtype=bool)
+    for k in range(m):
+        pick = order[:, k] = scratch.argmin(axis=1)
+        finite &= np.isfinite(scratch[rows, pick])
+        scratch[rows, pick] = np.inf
+    if not finite.all():
+        order[~finite] = np.argsort(d2[~finite], axis=1, kind="stable")[:, :m]
     return order
 
 
@@ -124,11 +123,10 @@ def match_units(
     once and serves both units. Treated rows are taken in blocks of at most
     _BLOCK_BYTES of differences, so memory stays bounded as n grows; each
     treated unit takes its m nearest from its block row, and each control
-    keeps its m nearest treated units so far, merged with every block's
-    column. The difference buffer is freed once the last block's squared
-    distances exist, so a problem that fits in one block selects neighbours
-    without it. Ties go to the smallest unit index (see _nearest), so the
-    result does not depend on the block size. Deterministic.
+    keeps its m nearest treated units so far, merging a block's column only
+    once the block can change that set. A problem that fits in one block frees
+    its differences before it selects neighbours. Ties go to the smallest unit
+    index (see _nearest), so the result does not depend on the block size.
     """
     m = _check_int("m", m, 1)
     if metric.p != data.p:
@@ -149,8 +147,8 @@ def match_units(
     diff = np.empty((min(rows, n1), n0, data.p))
     t_sets = np.empty((n1, m), dtype=np.intp)  # positions in control
     t_d2 = np.empty((n1, m))
-    c_sets = np.empty((n0, 0), dtype=np.intp)  # positions in treated, nearest first
-    c_d2 = np.empty((n0, 0))
+    c_sets = np.empty((n0, m), dtype=np.intp)  # positions in treated, nearest first
+    c_d2 = np.empty((n0, m))
     for start in range(0, n1, rows):
         block = slice(start, min(start + rows, n1))
         d = diff[: block.stop - start]
@@ -161,18 +159,20 @@ def match_units(
         d2 = np.einsum("ijk,ijk->ij", d, d)
         if block.stop == n1:
             del d, diff  # spent: the last block selects without its differences
-        order = _nearest(d2, m)
-        t_sets[block] = order
+        t_sets[block] = order = _nearest(d2, m)
         t_d2[block] = np.take_along_axis(d2, order, axis=1)
-        # Kept entries have smaller treated indices than the block's, so the
-        # stable selection by position is the selection by (distance, index).
-        merged = np.concatenate((c_d2, d2.T), axis=1)
-        positions = np.concatenate(
-            (c_sets, np.broadcast_to(np.arange(block.start, block.stop), d2.T.shape)), axis=1
-        )
-        keep = _nearest(merged, min(m, merged.shape[1]))
-        c_sets = np.take_along_axis(positions, keep, axis=1)
-        c_d2 = np.take_along_axis(merged, keep, axis=1)
+        # Kept entries come first and have smaller treated indices, so they win ties: a block
+        # entry enters a full set only if below its m-th distance (NaN compares false: it merges).
+        kept = min(m, start)  # entries in each control's set so far
+        hit = slice(None) if kept < m else np.flatnonzero(~(d2 >= c_d2[:, -1]).all(axis=0))
+        if kept < m or len(hit):  # else the block changes no control's set
+            merged = np.concatenate((c_d2[hit, :kept], d2.T[hit]), axis=1)
+            keep = _nearest(merged, min(m, merged.shape[1]))
+            picked = keep + (start - kept)  # a block column's treated position, or a kept one's:
+            at = np.nonzero(keep < kept)
+            picked[at] = c_sets[hit, :kept][at[0], keep[at]]
+            c_sets[hit, : keep.shape[1]] = picked
+            c_d2[hit, : keep.shape[1]] = np.take_along_axis(merged, keep, axis=1)
 
     matched_sets = np.empty((data.n, m), dtype=np.int64)
     dists = np.empty((data.n, m))

@@ -298,6 +298,31 @@ class TestOneDistancePass:
         # are selected after the differences are freed
         assert peak <= block + 2 * n1 * n0 * 8
 
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_a_block_that_changes_no_control_is_skipped(self, monkeypatch, m):
+        rng = np.random.default_rng(36)
+        x = np.concatenate((rng.normal(size=(140, 2)), rng.normal(size=(10, 2)) + 50.0))
+        w = np.concatenate((rng.permutation(np.repeat([1, 0], [60, 80])), np.ones(10, dtype=int)))
+        data = ObservationalDataset(x=x, w=w, y=rng.normal(size=150), feature_names=("a", "b"))
+        metric = fit_mahalanobis(data.x)
+        expected = per_arm_match_units(data, metric, m)
+        # blocks of 10 treated rows: six near the controls, then the ten far ones
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 10 * data.n_control * data.p * 8)
+        calls = []
+        nearest = matching._nearest
+
+        def spy(d2, k):
+            calls.append(d2.shape)
+            return nearest(d2, k)
+
+        monkeypatch.setattr(matching, "_nearest", spy)
+        matches = match_units(data, metric, m)
+        monkeypatch.undo()
+        for name in ("matched_sets", "distances", "k_counts"):
+            assert getattr(matches, name).tobytes() == getattr(expected, name).tobytes(), name
+        # the far block selects its own rows' matches and merges no control
+        assert calls[-1] == (10, data.n_control) and len(calls) < 2 * 7
+
     def test_memory_stays_bounded_at_n_8000(self):
         data = random_dataset(np.random.default_rng(35), 8000, 4, min_arm=5)
         metric = fit_mahalanobis(data.x)
@@ -326,9 +351,28 @@ class TestNearest:
             for m in range(1, width + 1):
                 np.testing.assert_array_equal(matching._nearest(d2, m), full[:, :m])
 
-    def test_untied_rows_are_never_sorted_whole(self, monkeypatch):
+    def test_non_finite_rows_equal_the_stable_full_sort_prefix(self):
+        inf, nan = np.inf, np.nan
+        d2 = np.array([
+            [3.0, inf, 1.0, inf, 2.0, 1.0],  # +inf beyond the 4 nearest, then inside
+            [inf, inf, 0.5, inf, inf, inf],  # +inf inside the 2 nearest
+            [inf, inf, inf, inf, inf, inf],
+            [2.0, nan, 1.0, 1.0, inf, 0.0],  # a NaN sorts after +inf
+            [nan, 4.0, 4.0, 3.0, 5.0, 6.0],
+            [1.0, 0.0, 2.0, 0.0, 3.0, 5.0],
+        ])
+        before = d2.copy()
+        full = np.argsort(d2, axis=1, kind="stable")
+        for m in range(1, d2.shape[1] + 1):
+            np.testing.assert_array_equal(matching._nearest(d2, m), full[:, :m])
+        np.testing.assert_array_equal(d2, before)  # d2 is not mutated
+
+    @pytest.mark.parametrize("kind", ["untied", "rounded"])
+    def test_no_row_is_sorted_whole(self, monkeypatch, kind):
         rng = np.random.default_rng(33)
         d2 = rng.normal(size=(40, 200)) ** 2
+        if kind == "rounded":
+            d2 = np.round(d2 * 2.0)  # many exactly tied 5th-nearest distances
         widths = []
         argsort = np.argsort
 
@@ -340,7 +384,7 @@ class TestNearest:
         order = matching._nearest(d2, 5)
         monkeypatch.undo()
         np.testing.assert_array_equal(order, np.argsort(d2, axis=1, kind="stable")[:, :5])
-        assert widths and max(widths) == 5
+        assert all(width < d2.shape[1] for width in widths)
 
 
 class TestImputeRaw:
